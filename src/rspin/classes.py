@@ -144,6 +144,14 @@ def u_r(r: int) -> int:
     return 12
 
 
+def torsion_order_of(r: int) -> int:
+    """Order N of the (cyclic) torsion of the stable H^2: 4, 8 or 1 by
+    r mod 4 (r = 2, 0, odd), times 3 when 3 divides r."""
+    t2 = 4 if r % 4 == 2 else 8 if r % 4 == 0 else 1
+    t3 = 3 if r % 3 == 0 else 1
+    return t2 * t3
+
+
 @dataclass(frozen=True)
 class ModuliContext:
     """The parameters (r, g, eps) of one moduli space.
@@ -183,9 +191,7 @@ class ModuliContext:
     @property
     def torsion_order(self) -> int:
         """Order N of the torsion subgroup of the stable H^2."""
-        t2 = 4 if self.r % 4 == 2 else 8 if self.r % 4 == 0 else 1
-        t3 = 3 if self.r % 3 == 0 else 1
-        return t2 * t3
+        return torsion_order_of(self.r)
 
     @property
     def nonempty(self) -> bool:
@@ -216,13 +222,9 @@ class ModuliContext:
 
 def stable_genus(r: int, at_least: int = 9) -> int:
     """Smallest g >= at_least with a nonempty genus-g moduli space."""
+    # r divides 2 - 2g exactly when step divides g - 1
     step = r if r % 2 else r // 2
-    g = at_least
-    while (2 - 2 * g) % r:
-        g += 1
-        if g > at_least + step:
-            raise AssertionError("unreachable: period divides step")
-    return g
+    return at_least + (1 - at_least) % step
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +503,8 @@ def presentation(ctx: ModuliContext, generators: Sequence[FormalClass]) -> Prese
         )
     relations = kernel_lattice(hom)
     pres = Presentation(gens, relations)
-    expected = FgAbGroup.from_orders([ctx.torsion_order], free_rank=1)
+    n = ctx.torsion_order
+    expected = FgAbGroup(1, (n,) if n > 1 else ())
     if pres.group() != expected:
         raise errors.InternalConsistencyError(
             f"presentation cokernel {pres.group()} does not match {expected}"
@@ -510,30 +513,27 @@ def presentation(ctx: ModuliContext, generators: Sequence[FormalClass]) -> Prese
 
 
 def default_generators(ctx: ModuliContext) -> tuple:
-    """A small deterministic generating set for H^2.
+    """The fixed generating pair of H^2 for the residue of r:
+    (lambda, lambda(1/r)) for r odd, (lambda(2/r), mu) for r = 2 mod 4,
+    and (mu, lambda(1/r)) for r = 0 mod 4.
 
-    Prefers the two-element sets used in the worked low-r examples, then
-    falls back to a systematic search over the default symbol list.
+    Each pair has coprime free coordinates, and its phi-determinant
+    d1*phi2 - d2*phi1 is 24/N times a unit mod N, so it generates.
+    presentation checks this once; a pair that fails is an internal
+    error.
     """
     r = ctx.r
     if r % 2:
-        preferred = [FormalClass.single(Lambda(r)), FormalClass.single(Lambda(1))]
+        syms = (Lambda(r), Lambda(1))
     elif r % 4 == 2:
-        preferred = [FormalClass.single(Lambda(r)), FormalClass.single(MU)]
+        syms = (Lambda(2), MU)
     else:
-        preferred = [FormalClass.single(MU), FormalClass.single(Lambda(1))]
-    candidates = [FormalClass.single(s) for s in default_symbols(r)]
-    pools: list = [preferred]
-    pools += [
-        [candidates[i], candidates[j]]
-        for i in range(len(candidates))
-        for j in range(i + 1, len(candidates))
-    ]
-    pools.append(candidates)
-    for pool in pools:
-        try:
-            presentation(ctx, pool)
-        except errors.NonGeneratingError:
-            continue
-        return tuple(pool)
-    raise errors.InternalConsistencyError(f"no generating set found for r = {r}")
+        syms = (MU, Lambda(1))
+    pair = tuple(FormalClass.single(s) for s in syms)
+    try:
+        presentation(ctx, pair)
+    except errors.NonGeneratingError as e:
+        raise errors.InternalConsistencyError(
+            f"the fixed generators at r = {r} do not generate H^2: {e}"
+        ) from e
+    return pair

@@ -189,7 +189,7 @@ def cmd_theta(args) -> int:
             "presentation": _presentation_dict(sub.presentation, ctx.r),
         },
     }
-    note = twists.theta_g_dependence_note(ctx.r, ctx.g, ctx.eps)
+    note = twists.theta_g_dependence_note(ctx.r, ctx.g, ctx.eps, image)
     if note:
         report["warning"] = note
     _emit(report, args)
@@ -221,6 +221,8 @@ def cmd_twist(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.r_min > args.r_max:
+        raise ValueError(f"empty range: --r-min {args.r_min} is greater than --r-max {args.r_max}")
     rows = []
     for r in range(args.r_min, args.r_max + 1):
         pi0, euler_index = topology.pi0_mtspin(r)

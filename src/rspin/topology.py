@@ -8,7 +8,7 @@ from typing import Optional
 
 from . import errors
 from .abelian import FgAbGroup
-from .classes import ModuliContext, u_r
+from .classes import ModuliContext, torsion_order_of, u_r
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,7 @@ def pi1_mtspin(r: int) -> FgAbGroup:
     """pi_1 of the stable r-Spin Thom spectrum (all torsion)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    orders = []
-    if r % 4 == 2:
-        orders.append(4)
-    elif r % 4 == 0:
-        orders.append(8)
-    if r % 3 == 0:
-        orders.append(3)
-    return FgAbGroup.from_orders(orders)
+    return FgAbGroup.cyclic(torsion_order_of(r))
 
 
 def xr_cohomology(r: int, degree: int) -> FgAbGroup:
@@ -97,7 +90,7 @@ def h1_moduli(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = 
     ctx = ModuliContext(r, g, eps, allow_unstable=allow_unstable)
     ctx.require_nonempty()
     ctx.require_h1_range()
-    return FgAbGroup.from_orders([n for n in (_part2(r), _part3(r)) if n > 1])
+    return FgAbGroup.cyclic(ctx.torsion_order)
 
 
 def h2_moduli(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = False) -> FgAbGroup:
@@ -105,16 +98,8 @@ def h2_moduli(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = 
     ctx = ModuliContext(r, g, eps, allow_unstable=allow_unstable)
     ctx.require_nonempty()
     ctx.require_h2_range()
-    torsion = FgAbGroup.from_orders([n for n in (_part2(r), _part3(r)) if n > 1])
-    return FgAbGroup.free(1).direct_sum(torsion)
-
-
-def _part2(r: int) -> int:
-    return 4 if r % 4 == 2 else 8 if r % 4 == 0 else 1
-
-
-def _part3(r: int) -> int:
-    return 3 if r % 3 == 0 else 1
+    n = ctx.torsion_order
+    return FgAbGroup(1, (n,) if n > 1 else ())
 
 
 def picard_report(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = False) -> dict:

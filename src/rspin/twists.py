@@ -156,17 +156,16 @@ def h1_theta(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = F
     return pontrjagin_dual(FgAbGroup.cyclic(n // image.order))
 
 
-def theta_g_dependence_note(r: int, g: int, eps: Optional[int] = None) -> Optional[str]:
-    """Warn when the r = 4 image formula deviates from its advertised
-    g-independent value (it agrees at g = 9)."""
+def theta_g_dependence_note(r: int, g: int, eps: Optional[int], image: ZrSubgroup) -> Optional[str]:
+    """Warn when the r = 4 image, as computed by tors_map_image, deviates
+    from its advertised g-independent value (it agrees at g = 9)."""
     if r != 4:
         return None
     expected_order = 1 if eps == 0 else 2
-    actual = tors_map_image(r, g, eps)
-    if actual.order == expected_order:
+    if image.order == expected_order:
         return None
     return (
-        f"fiber image at (r=4, g={g}, eps={eps}) has order {actual.order}, "
+        f"fiber image at (r=4, g={g}, eps={eps}) has order {image.order}, "
         f"not the order {expected_order} seen at g=9; the image formula is g-dependent"
     )
 

@@ -232,6 +232,22 @@ class TestPresentation:
         expected = FgAbGroup.free(1) if ctx.torsion_order == 1 else FgAbGroup(1, (ctx.torsion_order,))
         assert p.group() == expected
 
+    @given(st.integers(min_value=2, max_value=2000), st.integers(min_value=0, max_value=1))
+    @settings(max_examples=200, deadline=None)
+    def test_fixed_pair_generates(self, r, eps):
+        ctx = ctx_for(r, eps=eps if r % 2 == 0 else None)
+        gens = default_generators(ctx)
+        # presentation raises unless the pair has index 1 and cokernel Z + Z/N
+        assert len(gens) == 2 and presentation(ctx, gens).generators == gens
+
+    def test_non_generating_pair_is_internal_error(self, monkeypatch):
+        def refuse(ctx, gens):
+            raise errors.NonGeneratingError("index 2", index=2)
+
+        monkeypatch.setattr(cl, "presentation", refuse)
+        with pytest.raises(errors.InternalConsistencyError, match="do not generate"):
+            default_generators(ctx_for(6))
+
 
 class TestRationalMultiple:
     def test_lambda_itself(self):
@@ -317,8 +333,13 @@ class TestContext:
         assert ModuliContext(4, 9, 0).torsion_order == 8
         assert ModuliContext(12, 13, 0).torsion_order == 24
         assert ModuliContext(35, 36).torsion_order == 1
+        assert [cl.torsion_order_of(r) for r in range(1, 13)] == [1, 4, 3, 8, 1, 12, 1, 8, 3, 4, 1, 24]
 
     def test_stable_genus(self):
         for r in range(2, 60):
             g = stable_genus(r)
             assert g >= 9 and (2 - 2 * g) % r == 0
+        for r in range(2, 501):
+            for at_least in (2, 9, 17):
+                brute = next(g for g in range(at_least, at_least + r + 1) if (2 - 2 * g) % r == 0)
+                assert stable_genus(r, at_least) == brute

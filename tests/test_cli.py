@@ -50,6 +50,26 @@ class TestReport:
         code, _, err = run(capsys, "report", "--r", "3", "--g", "10", "--eps", "0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "r,g,rendered",
+        [
+            (6, 10, "<lambda(2/6), mu | 12(3*lambda(2/6) - 4*mu)>"),
+            (10, 11, "<lambda(2/10), mu | 4(25*lambda(2/10) + 4*mu)>"),
+            (1002, 502, "<lambda(2/1002), mu | 12(83667*lambda(2/1002) + 330668*mu)>"),
+        ],
+    )
+    def test_r_2_mod_4_pair(self, capsys, r, g, rendered):
+        code, out, _ = run(capsys, "report", "--r", str(r), "--g", str(g), "--eps", "0", "--json")
+        assert code == 0
+        pres = json.loads(out)["presentation"]
+        assert pres["generators"] == [f"lambda(2/{r})", "mu"]
+        assert pres["rendered"] == rendered
+
+    def test_r12002_runs(self, capsys):
+        code, out, err = run(capsys, "report", "--r", "12002", "--g", "6002", "--eps", "0")
+        assert code == 0, err
+        assert "<lambda(2/12002), mu |" in out
+
     def test_empty_moduli_reported(self, capsys):
         code, out, _ = run(capsys, "report", "--r", "3", "--g", "9")
         assert code == 0
@@ -106,6 +126,12 @@ class TestTheta:
         assert code == 0
         assert "h1: Z/8" in out
 
+    def test_force_below_range(self, capsys):
+        code, out, err = run(capsys, "theta", "--r", "4", "--g", "5", "--eps", "1", "--force")
+        assert code == 0, err
+        assert "UNVERIFIED (below stable range)" in out
+        assert "order: 2" in out
+
     def test_internal_mismatch_exit_4(self, capsys):
         code, _, err = run(capsys, "theta", "--r", "9", "--g", "10")
         assert code == 4
@@ -152,8 +178,9 @@ class TestTable:
         assert "torsion: 0" in out
 
     def test_empty_range(self, capsys):
-        code, out, _ = run(capsys, "table", "--r-min", "5", "--r-max", "4")
-        assert code == 0
+        code, out, err = run(capsys, "table", "--r-min", "5", "--r-max", "4")
+        assert code == 2
+        assert out == "" and err == "error: empty range: --r-min 5 is greater than --r-max 4\n"
 
 
 class TestJson:

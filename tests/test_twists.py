@@ -163,12 +163,15 @@ class TestH1Theta:
         assert h1_theta(r, g, eps) == FgAbGroup.cyclic(expected)
 
     def test_g_dependence_note(self):
-        assert theta_g_dependence_note(4, 9, 0) is None
-        assert theta_g_dependence_note(4, 9, 1) is None
-        assert theta_g_dependence_note(2, 9, 0) is None
+        def note(r, g, eps):
+            return theta_g_dependence_note(r, g, eps, tors_map_image(r, g, eps))
+
+        assert note(4, 9, 0) is None
+        assert note(4, 9, 1) is None
+        assert note(2, 9, 0) is None
         # at g = 11 the even-eps image is no longer trivial
-        note = theta_g_dependence_note(4, 11, 0)
-        assert note is not None and "g-dependent" in note
+        warning = note(4, 11, 0)
+        assert warning is not None and "g-dependent" in warning
 
 
 class TestH2ThetaSubgroup:
