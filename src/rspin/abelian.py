@@ -9,7 +9,7 @@ no overflow.  All values are immutable and all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 
@@ -47,10 +47,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, m: int, n: int) -> "IntMatrix":
-        return cls(m, n, (0,) * (m * n))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -69,11 +65,6 @@ class IntMatrix:
             for j in range(other.cols):
                 flat.append(sum(r[k] * other.at(k, j) for k in range(self.cols)))
         return IntMatrix(self.rows, other.cols, tuple(flat))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        )
 
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -263,13 +254,6 @@ def solve_in_lattice(basis: IntMatrix, target: Sequence[int]) -> Optional[list]:
     return coeffs
 
 
-def left_kernel(a: IntMatrix) -> IntMatrix:
-    """Hermite basis of { x : x @ a == 0 }."""
-    sf = smith_normal_form(a)
-    rows = [sf.u.row(i) for i in range(a.rows) if not any(sf.s.row(i))]
-    return hermite_normal_form(rows, a.rows)
-
-
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
@@ -306,13 +290,20 @@ class FgAbGroup:
 
     @classmethod
     def from_orders(cls, orders: Iterable[int], free_rank: int = 0) -> "FgAbGroup":
-        """Canonicalize an arbitrary direct sum of finite cyclic groups."""
-        orders = [n for n in orders if n != 1]
-        if any(n < 1 for n in orders):
-            raise ValueError("orders must be >= 1")
-        diag = [[orders[i] if i == j else 0 for j in range(len(orders))] for i in range(len(orders))]
-        g = group_from_presentation(len(orders), IntMatrix.from_rows(diag, cols=len(orders)))
-        return cls(free_rank + g.free_rank, g.invariant_factors)
+        """Canonicalize an arbitrary direct sum of finite cyclic groups.
+
+        Each order is merged into the divisibility chain by
+        Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), which keeps the chain sorted
+        prime by prime.
+        """
+        chain = []
+        for n in orders:
+            if n < 1:
+                raise ValueError("orders must be >= 1")
+            for i, f in enumerate(chain):
+                chain[i], n = gcd(f, n), lcm(f, n)
+            chain.append(n)
+        return cls(free_rank, tuple(f for f in chain if f > 1))
 
     def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
         return FgAbGroup.from_orders(
@@ -364,15 +355,17 @@ class HomZN:
 def kernel_lattice(hom: HomZN) -> IntMatrix:
     """Hermite basis of the kernel of a map Z^k -> Z + Z/N.
 
-    Computed by adjoining an auxiliary generator of the modulus, taking
-    the integer kernel, and projecting the auxiliary coefficient away.
+    One Hermite reduction of the rows [f_i, t_i | e_i] and [0, N | 0]
+    (the kernel-by-HNF construction, Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4): the rows that vanish on the first two
+    columns, with those columns dropped, are a basis of the kernel and
+    are already in Hermite form.
     """
     k = len(hom.generator_images)
-    rows = [list(img) for img in hom.generator_images]
-    rows.append([0, hom.ambient_torsion])
-    ker = left_kernel(IntMatrix.from_rows(rows, cols=2))
-    projected = [ker.row(i)[:k] for i in range(ker.rows)]
-    return hermite_normal_form(projected, k)
+    rows = [[f, t] + [int(i == j) for j in range(k)] for i, (f, t) in enumerate(hom.generator_images)]
+    rows.append([0, hom.ambient_torsion] + [0] * k)
+    h = hermite_normal_form(rows, k + 2)
+    return IntMatrix.from_rows([h.row(i)[2:] for i in range(h.rows) if not any(h.row(i)[:2])], cols=k)
 
 
 @dataclass(frozen=True)
@@ -403,7 +396,9 @@ def subgroup_info(ambient_torsion: int, generators: Iterable) -> SubgroupInfo:
     basis = hermite_normal_form(rows, 2)
     coeffs = solve_in_lattice(basis, (0, n))
     assert coeffs is not None
-    group = group_from_presentation(basis.rows, IntMatrix.from_rows([coeffs], cols=basis.rows))
+    # the subgroup is Z^rows modulo the one relation coeffs
+    g = gcd(*coeffs)
+    group = FgAbGroup(basis.rows - 1, (g,) if g > 1 else ())
     if basis.rows == 2:
         index = basis.at(0, 0) * basis.at(1, 1)
     else:

@@ -512,15 +512,14 @@ def presentation(ctx: ModuliContext, generators: Sequence[FormalClass]) -> Prese
     return pres
 
 
-def default_generators(ctx: ModuliContext) -> tuple:
-    """The fixed generating pair of H^2 for the residue of r:
-    (lambda, lambda(1/r)) for r odd, (lambda(2/r), mu) for r = 2 mod 4,
-    and (mu, lambda(1/r)) for r = 0 mod 4.
+def default_presentation(ctx: ModuliContext) -> Presentation:
+    """The presentation of H^2 on the fixed generating pair for the
+    residue of r: (lambda, lambda(1/r)) for r odd, (lambda(2/r), mu) for
+    r = 2 mod 4, and (mu, lambda(1/r)) for r = 0 mod 4.
 
     Each pair has coprime free coordinates, and its phi-determinant
     d1*phi2 - d2*phi1 is 24/N times a unit mod N, so it generates.
-    presentation checks this once; a pair that fails is an internal
-    error.
+    presentation checks this; a pair that fails is an internal error.
     """
     r = ctx.r
     if r % 2:
@@ -529,11 +528,14 @@ def default_generators(ctx: ModuliContext) -> tuple:
         syms = (Lambda(2), MU)
     else:
         syms = (MU, Lambda(1))
-    pair = tuple(FormalClass.single(s) for s in syms)
     try:
-        presentation(ctx, pair)
+        return presentation(ctx, tuple(FormalClass.single(s) for s in syms))
     except errors.NonGeneratingError as e:
         raise errors.InternalConsistencyError(
             f"the fixed generators at r = {r} do not generate H^2: {e}"
         ) from e
-    return pair
+
+
+def default_generators(ctx: ModuliContext) -> tuple:
+    """The fixed generating pair of H^2 (see default_presentation)."""
+    return default_presentation(ctx).generators

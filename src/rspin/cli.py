@@ -123,9 +123,10 @@ def cmd_report(args) -> int:
         _emit(report, args)
         return EXIT_OK
 
+    pic = topology.picard_report(ctx.r, ctx.g, ctx.eps, allow_unstable=args.force)
     report["groups"] = {
         "h1": str(topology.h1_moduli(ctx.r, ctx.g, ctx.eps, allow_unstable=args.force)),
-        "h2": str(topology.h2_moduli(ctx.r, ctx.g, ctx.eps, allow_unstable=args.force)),
+        "h2": str(pic["group"]),
     }
     if ctx.torsion_order > 1:
         t = cl.torsion_generator(ctx)
@@ -137,9 +138,8 @@ def cmd_report(args) -> int:
         }
     else:
         report["torsion"] = "trivial"
-    pres = cl.presentation(ctx, cl.default_generators(ctx))
-    report["presentation"] = _presentation_dict(pres, ctx.r)
-    report["picard"] = "Pic_alg = NS = Pic_top = H^2"
+    report["presentation"] = _presentation_dict(pic["presentation"], ctx.r)
+    report["picard"] = pic["isomorphisms"]
     _emit(report, args)
     return EXIT_OK
 
@@ -198,6 +198,7 @@ def cmd_theta(args) -> int:
 
 def cmd_twist(args) -> int:
     ctx = _make_ctx(args)
+    ctx.require_h2_range()
     tw = twists.TwistInput(ctx, args.arf, args.beta)
     x = expr.parse_class(args.expression, ctx.r)
     per_term, total = twists.twist_class(tw, x)

@@ -8,7 +8,7 @@ from typing import Optional
 
 from . import errors
 from .abelian import FgAbGroup
-from .classes import ModuliContext, torsion_order_of, u_r
+from .classes import ModuliContext, default_presentation, torsion_order_of, u_r
 
 
 @dataclass(frozen=True)
@@ -105,17 +105,13 @@ def h2_moduli(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = 
 def picard_report(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = False) -> dict:
     """Structured summary: the Picard group of the moduli space in all of
     its guises (algebraic, topological, Neron-Severi) equals H^2."""
-    from . import classes as cl
-
     ctx = ModuliContext(r, g, eps, allow_unstable=allow_unstable)
     ctx.require_nonempty()
     ctx.require_h2_range()
     group = h2_moduli(r, g, eps, allow_unstable=allow_unstable)
-    gens = cl.default_generators(ctx)
-    pres = cl.presentation(ctx, gens)
     return {
         "group": group,
-        "presentation": pres,
+        "presentation": default_presentation(ctx),
         "isomorphisms": "Pic_alg = NS = Pic_top = H^2",
         "guard": RangeGuard.h2_stable(g),
     }

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 from . import classes as cl
 from . import errors
-from .abelian import FgAbGroup, HomZN, IntMatrix, group_from_presentation, kernel_lattice, pontrjagin_dual, subgroup_info
+from .abelian import FgAbGroup, HomZN, group_from_presentation, kernel_lattice, pontrjagin_dual, subgroup_info
 from .classes import ClassSymbol, FormalClass, KAPPA1, LAMBDA, ModuliContext, Presentation
 
 
@@ -37,18 +37,23 @@ def _chi_over_r(ctx: ModuliContext) -> int:
     return ctx.chi // ctx.r
 
 
-def twist_shift(tw: TwistInput, symbol: ClassSymbol) -> int:
-    """The beta(D)-multiple added to one named class under twisting, as
-    an element of Z/r. The fractional Hodge classes are twist-invariant."""
-    r = tw.ctx.r
+def _fiber_value(ctx: ModuliContext, symbol: ClassSymbol, arf: Optional[int]) -> int:
+    """The beta-multiple one named class restricts to on the fiber, for a
+    structure with Arf invariant arf: zero for the fractional Hodge
+    classes, 2a^2 chi/r for kappa1(a/r), and arf * r/2 for mu."""
     if symbol.kind == LAMBDA:
         return 0
     if symbol.kind == KAPPA1:
-        a = symbol.power
-        return (2 * a * a * _chi_over_r(tw.ctx) * tw.beta_coefficient) % r
-    if r % 2:
-        raise errors.MuUndefinedError(f"mu is not defined for odd r = {r}")
-    return (tw.arf * (r // 2) * tw.beta_coefficient) % r
+        return 2 * symbol.power * symbol.power * _chi_over_r(ctx)
+    if ctx.r % 2:
+        raise errors.MuUndefinedError(f"mu is not defined for odd r = {ctx.r}")
+    return arf * (ctx.r // 2)
+
+
+def twist_shift(tw: TwistInput, symbol: ClassSymbol) -> int:
+    """The beta(D)-multiple added to one named class under twisting, as
+    an element of Z/r. The fractional Hodge classes are twist-invariant."""
+    return _fiber_value(tw.ctx, symbol, tw.arf) * tw.beta_coefficient % tw.ctx.r
 
 
 def twist_class(tw: TwistInput, x: FormalClass):
@@ -72,19 +77,8 @@ class EvalOnFiber:
 def eval_on_fiber(ctx: ModuliContext, x: FormalClass) -> EvalOnFiber:
     """Restriction of a degree-two class to the fiber of the gerbe
     relating the two moduli spaces; a map onto a subgroup of Z/r."""
-    r = ctx.r
-    total = 0
-    for sym, c in x.terms:
-        if sym.kind == LAMBDA:
-            continue
-        if sym.kind == KAPPA1:
-            a = sym.power
-            total += c * 2 * a * a * _chi_over_r(ctx)
-        else:
-            if r % 2:
-                raise errors.MuUndefinedError(f"mu is not defined for odd r = {r}")
-            total += c * ctx.eps * (r // 2)
-    return EvalOnFiber(r, total % r)
+    total = sum(c * _fiber_value(ctx, sym, ctx.eps) for sym, c in x.terms)
+    return EvalOnFiber(ctx.r, total % ctx.r)
 
 
 @dataclass(frozen=True)
@@ -186,8 +180,8 @@ def h2_theta_subgroup(ctx: ModuliContext, generators: Optional[Sequence[FormalCl
     generating classes of the ambient H^2."""
     ctx.require_nonempty()
     ctx.require_h2_range()
-    gens = tuple(generators) if generators is not None else cl.default_generators(ctx)
-    cl.presentation(ctx, gens)  # raises if gens do not generate
+    # presentation raises if supplied generators do not generate
+    gens = cl.default_generators(ctx) if generators is None else cl.presentation(ctx, generators).generators
     evals = [eval_on_fiber(ctx, x).value for x in gens]
     coeff_rows = kernel_lattice(HomZN(ctx.r, tuple((0, e) for e in evals)))
     sub_gens = []

@@ -22,6 +22,7 @@ from rspin.abelian import (
 )
 
 small_entries = st.integers(min_value=-50, max_value=50)
+divisors_of_24 = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24])
 
 
 def matrices(max_dim=6, entries=small_entries):
@@ -166,6 +167,15 @@ class TestSubgroupInfo:
         assert info.index is None
         assert info.group == FgAbGroup(0, (2,))
 
+    @given(divisors_of_24, st.lists(st.tuples(small_entries, st.integers(min_value=0, max_value=23)), max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_group_vs_smith_of_relation(self, n, gens):
+        # the subgroup is the cokernel of the one relation expressing (0, N)
+        info = subgroup_info(n, gens)
+        coeffs = solve_in_lattice(info.basis, (0, n))
+        relation = IntMatrix.from_rows([coeffs], cols=info.basis.rows)
+        assert info.group == group_from_presentation(info.basis.rows, relation)
+
     @given(
         st.integers(min_value=1, max_value=24),
         st.lists(
@@ -254,6 +264,18 @@ class TestKernelLattice:
             if maps_to_zero(coeffs):
                 assert solve_in_lattice(k, list(coeffs)) is not None
 
+    @given(divisors_of_24, st.lists(st.tuples(small_entries, st.integers(min_value=0, max_value=23)), max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_vs_smith_witness(self, n, images):
+        # reference: the integer left kernel of [images; (0, N)] read off
+        # the Smith witness U, projected to the first k coordinates
+        hom = HomZN(n, tuple(images))
+        k = len(images)
+        a = IntMatrix.from_rows([list(img) for img in hom.generator_images] + [[0, n]], cols=2)
+        sf = smith_normal_form(a)
+        ker = [sf.u.row(i)[:k] for i in range(a.rows) if not any(sf.s.row(i))]
+        assert kernel_lattice(hom).to_rows() == hermite_normal_form(ker, k).to_rows()
+
 
 class TestHermite:
     def test_canonical(self):
@@ -286,6 +308,17 @@ class TestFgAbGroup:
     def test_canonical_from_orders(self):
         assert FgAbGroup.from_orders([2, 3]) == FgAbGroup.cyclic(6)
         assert FgAbGroup.from_orders([4, 6]) == FgAbGroup(0, (2, 12))
+        with pytest.raises(ValueError):
+            FgAbGroup.from_orders([4, 0])
+
+    @given(st.lists(st.integers(min_value=1, max_value=60), max_size=6), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=80, deadline=None)
+    def test_from_orders_vs_smith(self, orders, free_rank):
+        # Z^free_rank + sum Z/n_i is the cokernel of a diagonal relation
+        # matrix with free_rank zero columns
+        m = len(orders) + free_rank
+        diag = IntMatrix.from_rows([[n if i == j else 0 for j in range(m)] for i, n in enumerate(orders)], cols=m)
+        assert FgAbGroup.from_orders(orders, free_rank) == group_from_presentation(m, diag)
 
     def test_str(self):
         assert str(FgAbGroup.trivial()) == "0"

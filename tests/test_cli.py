@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from rspin import classes as cl
 from rspin import cli
 
 
@@ -162,6 +163,19 @@ class TestTwist:
         assert code == 0
         assert "total shift: 0 mod 2" in out
 
+    def test_below_range_exit_3(self, capsys):
+        code, out, err = run(capsys, "twist", "--r", "4", "--g", "5", "--eps", "1", "--arf", "1", "--beta", "1", "mu")
+        assert code == 3
+        assert out == "" and err == "error: g = 5 is below the stable range g >= 9 for H^2\n"
+
+    def test_force_below_range(self, capsys):
+        code, out, err = run(
+            capsys, "twist", "--r", "4", "--g", "5", "--eps", "1", "--arf", "1", "--beta", "1", "--force", "mu"
+        )
+        assert code == 0, err
+        assert "UNVERIFIED (below stable range)" in out
+        assert "total shift: 2 mod 4" in out
+
 
 class TestTable:
     def test_rows_2_to_4(self, capsys):
@@ -181,6 +195,30 @@ class TestTable:
         code, out, err = run(capsys, "table", "--r-min", "5", "--r-max", "4")
         assert code == 2
         assert out == "" and err == "error: empty range: --r-min 5 is greater than --r-max 4\n"
+
+
+class TestOnePresentationPerQuery:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--r", "3", "--g", "10"],
+            ["report", "--r", "6", "--g", "10", "--eps", "1"],
+            ["report", "--r", "8", "--g", "13", "--eps", "0"],
+            ["theta", "--r", "10", "--g", "11", "--eps", "1"],
+        ],
+    )
+    def test_presentation_runs_once(self, capsys, monkeypatch, argv):
+        calls = []
+        real = cl.presentation
+
+        def counting(ctx, gens):
+            calls.append(ctx.r)
+            return real(ctx, gens)
+
+        monkeypatch.setattr(cl, "presentation", counting)
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(calls) == 1
 
 
 class TestJson:

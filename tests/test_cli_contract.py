@@ -1,0 +1,90 @@
+"""The exit-code contract of the command line, fuzzed over argv in
+process: every run ends in 0, 2, 3 or 4 without a traceback, and a
+subcommand that fails prints nothing on stdout and one line on stderr."""
+
+import contextlib
+import io
+
+from hypothesis import given, settings, strategies as st
+
+from rspin import cli
+
+integers = st.integers(min_value=0, max_value=40).map(str)
+
+
+def fractions(r):
+    den = st.one_of(st.just(r), st.just(r), st.integers(min_value=0, max_value=50)).map(str)
+    return st.tuples(st.sampled_from(["", "-"]), integers, den).map(lambda p: f"{p[0]}{p[1]}/{p[2]}")
+
+
+def atoms(r):
+    fraction = st.one_of(st.just(""), fractions(r).map(lambda f: f"({f})"))
+    named = st.tuples(st.sampled_from(["lambda", "kappa1"]), fraction).map("".join)
+    return st.one_of(named, st.just("mu"))
+
+
+def terms(r):
+    coeff = st.one_of(st.just(""), integers, integers.map(lambda c: c + "*"))
+    scaled = st.tuples(coeff, atoms(r)).map("".join)
+    return st.one_of(scaled, scaled, st.just("0"), integers)
+
+
+def expressions(r):
+    """Strings from the grammar in rspin.expr, plus a little noise."""
+    rest = st.lists(st.tuples(st.sampled_from([" + ", " - ", "+", "-"]), terms(r)).map("".join), max_size=3)
+    grammatical = st.tuples(st.sampled_from(["", "", "-"]), terms(r), rest).map(
+        lambda p: p[0] + p[1] + "".join(p[2])
+    )
+    noise = st.text(alphabet="lambdkpu1()+-*/0 x", max_size=16)
+    return st.one_of(grammatical, grammatical, grammatical, noise)
+
+
+def genera(r):
+    """Any g in -2..30, or one with a nonempty moduli space."""
+    nonempty = [g for g in range(2, 31) if r >= 2 and (2 - 2 * g) % r == 0]
+    anything = st.integers(min_value=-2, max_value=30)
+    return st.one_of(anything, st.sampled_from(nonempty)) if nonempty else anything
+
+
+@st.composite
+def argvs(draw):
+    sub = draw(st.sampled_from(["report", "eval", "theta", "twist", "table"]))
+    if sub == "table":
+        lo = draw(st.integers(min_value=-2, max_value=400))
+        hi = draw(st.integers(min_value=lo - 2, max_value=min(lo + 40, 400)))
+        argv = ["table", "--r-min", str(lo), "--r-max", str(hi)]
+    else:
+        # small r often, so that many draws reach a nonempty stable space
+        r = draw(st.one_of(st.integers(min_value=-2, max_value=400), st.integers(min_value=2, max_value=30)))
+        argv = [sub, "--r", str(r), "--g", str(draw(genera(r)))]
+        for flag in ("--eps",) + (("--arf",) if sub == "twist" else ()):
+            fitting = st.sampled_from([0, 1] if r % 2 == 0 else [None])
+            value = draw(st.one_of(fitting, st.sampled_from([None, 0, 1])))
+            if value is not None:
+                argv += [flag, str(value)]
+        if draw(st.booleans()):
+            argv.append("--force")
+        if sub == "twist":
+            argv += ["--beta", str(draw(st.integers(min_value=-5, max_value=5)))]
+        if sub in ("eval", "twist"):
+            argv.append(draw(expressions(r)))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=300, deadline=None)
+def test_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    from_argparse = False
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse rejects the command line
+            code, from_argparse = e.code, True
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code and not from_argparse:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
