@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 from . import errors
@@ -303,31 +303,75 @@ def default_symbols(r: int) -> list:
     return syms
 
 
-_LIFT_CACHE: dict = {}
-
-
 def generator_lift(ctx: ModuliContext) -> FormalClass:
     """A fixed integral class with free coordinate +1.
 
-    Well-defined only up to torsion; computed deterministically by an
-    extended gcd over the default symbol list so coordinates are stable
-    across runs.
+    Well-defined only up to torsion; fixed as the extended gcd
+    (g, combo) <- _ext_gcd(g, v) run over the free coordinates v of
+    default_symbols(r), in order, so coordinates are stable across runs.
+    Only the symbols whose step changes (g, combo) are stepped, by two
+    facts about v(a) = u(r^2 - 6ar + 6a^2)/12, the free coordinate of
+    lambda(a/r):
+
+    (i) for g > 0 dividing v, _ext_gcd(g, v) = (g, 1, 0), a no-op, unless
+        v is g, -g or -2g (then it is (g, 0, 1), (g, 0, -1), (g, -1, -1));
+    (ii) v(a + 2g) - v(a) = u g (2a + 2g - r), so v(a) mod g has period
+        2g in a: if g divides v(a) on a window of 2g consecutive a, it
+        divides every later v(a) too.
+
+    After lambda(0/r) and lambda(1/r), g is 1 or 2, and the walk jumps
+    from event to event: the first a with g not dividing v(a), found in
+    one window, and the roots of v(a) in {g, -g, -2g}, found by one isqrt
+    each. The cost does not grow with r.
     """
     ctx.require_h2_range()
-    key = ctx.r
-    if key in _LIFT_CACHE:
-        return _LIFT_CACHE[key]
+    r = ctx.r
     g, combo = 0, FormalClass.zero()
-    for sym in default_symbols(ctx.r):
-        v = _symbol_free(ctx, sym)
-        g, x, y = _ext_gcd(g, v)
+
+    def step(sym):
+        nonlocal g, combo
+        g, x, y = _ext_gcd(g, _symbol_free(ctx, sym))
         combo = _scale_add(x, combo, y, FormalClass.single(sym))
+
+    step(Lambda(0))
+    step(Lambda(1))
+    a = 2
+    while a <= r:
+        window = range(a, min(a + 2 * g, r + 1))
+        change = next((b for b in window if _symbol_free(ctx, Lambda(b)) % g), None)
+        for b in _lambda_roots(ctx, (g, -g, -2 * g), a, r + 1 if change is None else change):
+            step(Lambda(b))
+        if change is None:
+            break
+        step(Lambda(change))
+        a = change + 1
+    step(Kappa1(1))
+    if r % 2 == 0:
+        step(MU)
     if g != 1:
         raise errors.InternalConsistencyError(
-            f"divisibilities of the named classes have common factor {g} at r = {ctx.r}"
+            f"divisibilities of the named classes have common factor {g} at r = {r}"
         )
-    _LIFT_CACHE[key] = combo
     return combo
+
+
+def _lambda_roots(ctx: ModuliContext, values: Sequence[int], lo: int, hi: int) -> list:
+    """The a in [lo, hi) whose lambda(a/r) has free coordinate in values,
+    ascending: the integer roots of 6a^2 - 6ra + r^2 - 12t/u, t in values."""
+    r, roots = ctx.r, set()
+    for t in values:
+        c, rem = divmod(12 * t, ctx.u)
+        disc = 12 * r * r + 24 * c
+        if rem or disc < 0:
+            continue
+        s = isqrt(disc)
+        if s * s != disc:
+            continue
+        for num in (6 * r - s, 6 * r + s):
+            a, rem = divmod(num, 12)
+            if not rem and lo <= a < hi:
+                roots.add(a)
+    return sorted(roots)
 
 
 def _ext_gcd(a: int, b: int):
@@ -367,8 +411,14 @@ class CanonicalCoords:
 def canonical_coords(ctx: ModuliContext, x: FormalClass) -> CanonicalCoords:
     ctx.require_nonempty()
     ctx.require_h2_range()
+    return _coords(ctx, x, phi_value(ctx, generator_lift(ctx)))
+
+
+def _coords(ctx: ModuliContext, x: FormalClass, lift_phi) -> CanonicalCoords:
+    """canonical_coords given phi of the generator lift, which callers
+    mapping many classes compute once."""
     d = free_coordinate(ctx, x)
-    tau = (phi_value(ctx, x) - d * phi_value(ctx, generator_lift(ctx))) % 24
+    tau = (phi_value(ctx, x) - d * lift_phi) % 24
     n = ctx.torsion_order
     if tau % (24 // n):
         raise errors.InternalConsistencyError(
@@ -487,7 +537,10 @@ def render_relation(row: Sequence[int], names: Sequence[str]) -> str:
 
 def coords_hom(ctx: ModuliContext, gens: Sequence[FormalClass]) -> HomZN:
     """The map Z^k -> Z + Z/N induced by canonical coordinates."""
-    coords = [canonical_coords(ctx, x) for x in gens]
+    ctx.require_nonempty()
+    ctx.require_h2_range()
+    lift_phi = phi_value(ctx, generator_lift(ctx))
+    coords = [_coords(ctx, x, lift_phi) for x in gens]
     return HomZN(ctx.torsion_order, tuple((c.d, c.tau_reduced) for c in coords))
 
 

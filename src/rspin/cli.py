@@ -286,9 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except errors.StableRangeError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -298,6 +297,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except (errors.RSpinError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -308,6 +308,91 @@ class TestGeneration:
         assert g == 1
 
 
+def _scan_lift(ctx):
+    """The generator lift by the plain O(r) scan: the extended gcd over
+    every symbol of default_symbols(r), in order."""
+    g, combo = 0, FormalClass.zero()
+    for sym in default_symbols(ctx.r):
+        g, x, y = cl._ext_gcd(g, cl._symbol_free(ctx, sym))
+        combo = x * combo + y * single(sym)
+    assert g == 1
+    return combo
+
+
+# every r <= 5000 at which some lambda(a/r) has free coordinate 1, -1 or -2
+EVENT_RS = [2, 3, 4, 5, 9, 14, 19, 24, 33, 52, 71, 123, 194, 265, 336, 459, 724, 989, 1713, 2702, 3691, 4680]
+
+
+def _lambda_free(r, a):
+    return u_r(r) * (r * r - 6 * a * r + 6 * a * a) // 12
+
+
+class TestGeneratorLift:
+    def test_matches_scan_exhaustive(self):
+        for r in range(2, 301):
+            ctx = ctx_for(r)
+            assert cl.generator_lift(ctx) == _scan_lift(ctx), r
+
+    @given(st.integers(min_value=2, max_value=3000))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_scan(self, r):
+        ctx = ctx_for(r)
+        assert cl.generator_lift(ctx) == _scan_lift(ctx)
+
+    @pytest.mark.parametrize("r", EVENT_RS)
+    def test_matches_scan_at_events(self, r):
+        ctx = ctx_for(r)
+        assert cl.generator_lift(ctx) == _scan_lift(ctx)
+
+    def test_event_list_complete(self):
+        brute = [r for r in range(2, 301) if any(_lambda_free(r, a) in (1, -1, -2) for a in range(r + 1))]
+        assert brute == [r for r in EVENT_RS if r <= 300]
+
+    def test_free_coordinate_one(self):
+        for r in (10**6, 10**12 + 1, 10**12 + 2):
+            ctx = ctx_for(r)
+            assert free_coordinate(ctx, cl.generator_lift(ctx)) == 1
+
+    def test_ext_gcd_noop_on_multiples(self):
+        # fact (i): stepping a multiple v of g changes nothing unless v is g, -g or -2g
+        special = {1: (0, 1), -1: (0, -1), -2: (-1, -1)}
+        for g in range(1, 30):
+            for k in range(-40, 41):
+                assert cl._ext_gcd(g, k * g) == (g, *special.get(k, (1, 0)))
+
+    @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=-100, max_value=10**6),
+           st.integers(min_value=1, max_value=30))
+    @settings(max_examples=200)
+    def test_free_coordinate_period(self, r, a, g):
+        # fact (ii): v(a + 2g) - v(a) = u g (2a + 2g - r), so v mod g has period 2g
+        ctx = ctx_for(r)
+        v = lambda b: free_coordinate(ctx, single(Lambda(b)))
+        assert v(a + 2 * g) - v(a) == ctx.u * g * (2 * a + 2 * g - r)
+
+    @given(st.integers(min_value=2, max_value=10**30))
+    def test_gcd_after_first_two_steps(self, r):
+        assert gcd(_lambda_free(r, 0), _lambda_free(r, 1)) in (1, 2)
+
+    @pytest.mark.parametrize("r", [33, 40])
+    def test_coords_hom_lifts_once(self, monkeypatch, r):
+        ctx = ctx_for(r)
+        gens = [single(s) for s in default_symbols(r)]
+        expected = [(c.d, c.tau_reduced) for c in (canonical_coords(ctx, x) for x in gens)]
+        calls = []
+        lift = cl.generator_lift
+        monkeypatch.setattr(cl, "generator_lift", lambda c: calls.append(c) or lift(c))
+        assert list(cl.coords_hom(ctx, gens).generator_images) == expected
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 9, 24, 33, 100, 194])
+    def test_lambda_roots_vs_brute_force(self, r):
+        ctx = ctx_for(r)
+        for t in (1, -1, -2, 2, -4, 3):
+            brute = [a for a in range(-r, 2 * r) if _lambda_free(r, a) == t]
+            assert cl._lambda_roots(ctx, (t,), -r, 2 * r) == brute
+            assert cl._lambda_roots(ctx, (t,), 1, r) == [a for a in brute if 1 <= a < r]
+
+
 class TestContext:
     def test_eps_required_even(self):
         with pytest.raises(errors.EpsParityError):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from rspin import classes as cl
-from rspin import cli
+from rspin import cli, topology
 
 
 @pytest.fixture(autouse=True)
@@ -219,6 +219,55 @@ class TestOnePresentationPerQuery:
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert len(calls) == 1
+
+
+class TestEvalForce:
+    def test_force_below_range(self, capsys):
+        code, out, err = run(capsys, "eval", "--r", "3", "--g", "4", "--force", "lambda")
+        assert code == 0 and err == ""
+        assert "banner: UNVERIFIED (below stable range)" in out
+
+    def test_below_range_exit_3(self, capsys):
+        code, out, err = run(capsys, "eval", "--r", "3", "--g", "4", "lambda")
+        assert code == 3
+        assert out == "" and err == "error: g = 4 is below the stable range g >= 9 for H^2\n"
+
+
+class TestCostIndependentOfR:
+    """No query path walks the r + 3 default symbols: with default_symbols
+    refusing, report, theta and eval still answer at r near 10^12."""
+
+    @pytest.mark.parametrize("r", [10**12, 10**12 + 1, 10**12 + 2, 10**12 + 4])
+    def test_no_scan_over_r(self, capsys, monkeypatch, r):
+        def refuse(n):
+            raise AssertionError(f"default_symbols({n}) called on a query path")
+
+        monkeypatch.setattr(cl, "default_symbols", refuse)
+        base = ["--r", str(r), "--g", str(cl.stable_genus(r))] + (["--eps", "1"] if r % 2 == 0 else [])
+        for argv in (["report"] + base, ["theta"] + base, ["eval"] + base + [f"lambda(1/{r}) + kappa1(1/{r})"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
+            assert out and err == ""
+
+
+class TestResourceFailure:
+    def test_memory_error_exit_2(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(topology, "picard_report", exhausted)
+        code, out, err = run(capsys, "report", "--r", "3", "--g", "10")
+        assert code == 2
+        assert out == "" and err == "error: out of memory\n"
+
+    def test_memory_error_while_parsing(self, capsys, monkeypatch):
+        def exhausted():
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_parser", exhausted)
+        code, out, err = run(capsys, "report", "--r", "3", "--g", "10")
+        assert code == 2
+        assert out == "" and err == "error: out of memory\n"
 
 
 class TestJson:
