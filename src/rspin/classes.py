@@ -207,6 +207,10 @@ class ModuliContext:
                 f"no {self.r}-Spin structures in genus {self.g}: {self.r} does not divide {self.chi}"
             )
 
+    def require_mu(self):
+        if self.r % 2:
+            raise errors.MuUndefinedError(f"mu is not defined for odd r = {self.r}")
+
     def require_h2_range(self):
         if not (self.in_h2_range or self.allow_unstable):
             raise errors.StableRangeError(
@@ -220,7 +224,7 @@ class ModuliContext:
             )
 
 
-def stable_genus(r: int, at_least: int = 9) -> int:
+def stable_genus(r: int, at_least: int = ModuliContext.H2_STABLE_GENUS) -> int:
     """Smallest g >= at_least with a nonempty genus-g moduli space."""
     # r divides 2 - 2g exactly when step divides g - 1
     step = r if r % 2 else r // 2
@@ -248,8 +252,7 @@ def _symbol_free(ctx: ModuliContext, sym: ClassSymbol) -> int:
         return _exact_div(u * _quad(ctx.r, sym.power), 12)
     if sym.kind == KAPPA1:
         return sym.power * sym.power * u
-    if ctx.r % 2:
-        raise errors.MuUndefinedError(f"mu is not defined for odd r = {ctx.r}")
+    ctx.require_mu()
     return -_exact_div(u * ctx.r * ctx.r, 48)
 
 
@@ -258,8 +261,7 @@ def _symbol_phi(ctx: ModuliContext, sym: ClassSymbol) -> int:
         return 2
     if sym.kind == KAPPA1:
         return 0
-    if ctx.r % 2:
-        raise errors.MuUndefinedError(f"mu is not defined for odd r = {ctx.r}")
+    ctx.require_mu()
     return 1
 
 
@@ -286,8 +288,7 @@ def rational_multiple_of_lambda(ctx: ModuliContext, x: FormalClass) -> Fraction:
         elif sym.kind == KAPPA1:
             total += c * Fraction(12 * sym.power * sym.power, rr)
         else:
-            if ctx.r % 2:
-                raise errors.MuUndefinedError(f"mu is not defined for odd r = {ctx.r}")
+            ctx.require_mu()
             half = ctx.r // 2
             total += c * (Fraction(_quad(ctx.r, -half), rr) + 12 * Fraction(_quad(ctx.r, half), rr)) / 2
     return total
@@ -464,8 +465,7 @@ def lambda_kappa_torsion(ctx: ModuliContext, a: int) -> FormalClass:
 
 def mu_kappa_torsion(ctx: ModuliContext) -> FormalClass:
     """Torsion class built from mu and kappa1(1/r); r even only."""
-    if ctx.r % 2:
-        raise errors.MuUndefinedError(f"mu is not defined for odd r = {ctx.r}")
+    ctx.require_mu()
     rr = ctx.r * ctx.r
     u = gcd(rr, 48)
     out = FormalClass.of([(MU, 48 // u), (Kappa1(1), rr // u)])

@@ -24,8 +24,8 @@ EXIT_RANGE = 3
 EXIT_INTERNAL = 4
 
 
-def _use_color(force_off: bool) -> bool:
-    if force_off or os.environ.get("RSPIN_NO_COLOR"):
+def _use_color() -> bool:
+    if os.environ.get("RSPIN_NO_COLOR"):
         return False
     return sys.stdout.isatty()
 
@@ -70,10 +70,10 @@ def _emit(report: dict, args) -> None:
     if args.json:
         print(json.dumps(report, ensure_ascii=False, indent=2))
     else:
-        print(_render_text(report, _use_color(False)))
+        print(_render_text(report, _use_color()))
 
 
-def _context_dict(ctx: ModuliContext, force: bool) -> dict:
+def _context_dict(ctx: ModuliContext) -> dict:
     d = {
         "r": str(ctx.r),
         "g": str(ctx.g),
@@ -83,7 +83,7 @@ def _context_dict(ctx: ModuliContext, force: bool) -> dict:
     }
     if ctx.eps is not None:
         d["eps"] = str(ctx.eps)
-    if force and not ctx.in_h2_range:
+    if ctx.allow_unstable and not ctx.in_h2_range:
         d["banner"] = "UNVERIFIED (below stable range)"
     return d
 
@@ -100,13 +100,16 @@ def _presentation_dict(pres: cl.Presentation, r: int) -> dict:
 
 
 def _make_ctx(args) -> ModuliContext:
-    return ModuliContext(args.r, args.g, args.eps, allow_unstable=args.force)
-
-
-def cmd_report(args) -> int:
-    ctx = _make_ctx(args)
+    """The one context of a query. Its genus range is checked before any
+    other input, so every subcommand with --g fails in the same order."""
+    ctx = ModuliContext(args.r, args.g, args.eps, allow_unstable=args.force)
     ctx.require_h2_range()
-    report = {"command": "report", "context": _context_dict(ctx, args.force)}
+    return ctx
+
+
+def cmd_report(args) -> dict:
+    ctx = _make_ctx(args)
+    report = {"command": "report", "context": _context_dict(ctx)}
     report["u_r"] = str(ctx.u)
 
     table = {}
@@ -120,12 +123,11 @@ def cmd_report(args) -> int:
 
     if not ctx.nonempty:
         report["note"] = "moduli space is empty: groups omitted"
-        _emit(report, args)
-        return EXIT_OK
+        return report
 
-    pic = topology.picard_report(ctx.r, ctx.g, ctx.eps, allow_unstable=args.force)
+    pic = topology.picard_report(ctx)
     report["groups"] = {
-        "h1": str(topology.h1_moduli(ctx.r, ctx.g, ctx.eps, allow_unstable=args.force)),
+        "h1": str(topology.h1_moduli(ctx)),
         "h2": str(pic["group"]),
     }
     if ctx.torsion_order > 1:
@@ -140,18 +142,17 @@ def cmd_report(args) -> int:
         report["torsion"] = "trivial"
     report["presentation"] = _presentation_dict(pic["presentation"], ctx.r)
     report["picard"] = pic["isomorphisms"]
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict:
     ctx = _make_ctx(args)
     x = expr.parse_class(args.expression, ctx.r)
     coords = cl.canonical_coords(ctx, x)
     phi = cl.phi_value(ctx, x)
     report = {
         "command": "eval",
-        "context": _context_dict(ctx, args.force),
+        "context": _context_dict(ctx),
         "expression": render_class(x, ctx.r),
         "d": str(coords.d),
         "tau": str(coords.tau),
@@ -163,19 +164,17 @@ def cmd_eval(args) -> int:
         report["diagnosis"] = "zero class" if order == 1 else f"torsion of order {order}"
     else:
         report["diagnosis"] = "infinite order"
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
-def cmd_theta(args) -> int:
+def cmd_theta(args) -> dict:
     ctx = _make_ctx(args)
-    ctx.require_nonempty()
-    image = twists.tors_map_image(ctx.r, ctx.g, ctx.eps, allow_unstable=args.force)
-    h1 = twists.h1_theta(ctx.r, ctx.g, ctx.eps, allow_unstable=args.force)
+    image = twists.tors_map_image(ctx)
+    h1 = twists.h1_theta(ctx)
     sub = twists.h2_theta_subgroup(ctx)
     report = {
         "command": "theta",
-        "context": _context_dict(ctx, args.force),
+        "context": _context_dict(ctx),
         "h1": str(h1),
         "fiber_image": {
             "modulus": str(image.modulus),
@@ -189,22 +188,20 @@ def cmd_theta(args) -> int:
             "presentation": _presentation_dict(sub.presentation, ctx.r),
         },
     }
-    note = twists.theta_g_dependence_note(ctx.r, ctx.g, ctx.eps, image)
+    note = twists.theta_g_dependence_note(ctx, image)
     if note:
         report["warning"] = note
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
-def cmd_twist(args) -> int:
+def cmd_twist(args) -> dict:
     ctx = _make_ctx(args)
-    ctx.require_h2_range()
     tw = twists.TwistInput(ctx, args.arf, args.beta)
     x = expr.parse_class(args.expression, ctx.r)
     per_term, total = twists.twist_class(tw, x)
     report = {
         "command": "twist",
-        "context": _context_dict(ctx, args.force),
+        "context": _context_dict(ctx),
         "expression": render_class(x, ctx.r),
         "beta_coefficient": str(args.beta),
         "terms": [
@@ -217,11 +214,10 @@ def cmd_twist(args) -> int:
         ],
         "total_shift": f"{total} mod {ctx.r}",
     }
-    _emit(report, args)
-    return EXIT_OK
+    return report
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> dict:
     if args.r_min > args.r_max:
         raise ValueError(f"empty range: --r-min {args.r_min} is greater than --r-max {args.r_max}")
     rows = []
@@ -237,8 +233,7 @@ def cmd_table(args) -> int:
                 "euler_image_index": str(euler_index),
             }
         )
-    _emit({"command": "table", "rows": rows}, args)
-    return EXIT_OK
+    return {"command": "table", "rows": rows}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        _emit(args.func(args), args)
+        return EXIT_OK
     except errors.StableRangeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RANGE

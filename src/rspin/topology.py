@@ -4,7 +4,6 @@ homology of the r-Spin moduli spaces."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import errors
 from .abelian import FgAbGroup
@@ -85,33 +84,27 @@ def pi2_multiplier(r: int) -> int:
     return m
 
 
-def h1_moduli(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = False) -> FgAbGroup:
+def h1_moduli(ctx: ModuliContext) -> FgAbGroup:
     """Stable first integral homology of the genus-g r-Spin moduli space."""
-    ctx = ModuliContext(r, g, eps, allow_unstable=allow_unstable)
     ctx.require_nonempty()
     ctx.require_h1_range()
     return FgAbGroup.cyclic(ctx.torsion_order)
 
 
-def h2_moduli(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = False) -> FgAbGroup:
+def h2_moduli(ctx: ModuliContext) -> FgAbGroup:
     """Stable second integral cohomology: Z plus the H_1 torsion."""
-    ctx = ModuliContext(r, g, eps, allow_unstable=allow_unstable)
     ctx.require_nonempty()
     ctx.require_h2_range()
     n = ctx.torsion_order
     return FgAbGroup(1, (n,) if n > 1 else ())
 
 
-def picard_report(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = False) -> dict:
+def picard_report(ctx: ModuliContext) -> dict:
     """Structured summary: the Picard group of the moduli space in all of
     its guises (algebraic, topological, Neron-Severi) equals H^2."""
-    ctx = ModuliContext(r, g, eps, allow_unstable=allow_unstable)
-    ctx.require_nonempty()
-    ctx.require_h2_range()
-    group = h2_moduli(r, g, eps, allow_unstable=allow_unstable)
     return {
-        "group": group,
+        "group": h2_moduli(ctx),
         "presentation": default_presentation(ctx),
         "isomorphisms": "Pic_alg = NS = Pic_top = H^2",
-        "guard": RangeGuard.h2_stable(g),
+        "guard": RangeGuard.h2_stable(ctx.g),
     }

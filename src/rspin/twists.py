@@ -32,21 +32,17 @@ class TwistInput:
             raise errors.EpsParityError("arf must be omitted when r is odd")
 
 
-def _chi_over_r(ctx: ModuliContext) -> int:
-    ctx.require_nonempty()
-    return ctx.chi // ctx.r
-
-
 def _fiber_value(ctx: ModuliContext, symbol: ClassSymbol, arf: Optional[int]) -> int:
     """The beta-multiple one named class restricts to on the fiber, for a
     structure with Arf invariant arf: zero for the fractional Hodge
-    classes, 2a^2 chi/r for kappa1(a/r), and arf * r/2 for mu."""
+    classes, 2a^2 chi/r for kappa1(a/r), and arf * r/2 for mu. An empty
+    moduli space has no fiber, so every symbol requires a nonempty one."""
+    ctx.require_nonempty()
     if symbol.kind == LAMBDA:
         return 0
     if symbol.kind == KAPPA1:
-        return 2 * symbol.power * symbol.power * _chi_over_r(ctx)
-    if ctx.r % 2:
-        raise errors.MuUndefinedError(f"mu is not defined for odd r = {ctx.r}")
+        return 2 * symbol.power * symbol.power * (ctx.chi // ctx.r)
+    ctx.require_mu()
     return arf * (ctx.r // 2)
 
 
@@ -58,6 +54,7 @@ def twist_shift(tw: TwistInput, symbol: ClassSymbol) -> int:
 
 def twist_class(tw: TwistInput, x: FormalClass):
     """Per-term shifts and their total for an integer combination."""
+    tw.ctx.require_nonempty()  # the zero class has no term to check it
     per_term = [(sym, c, (c * twist_shift(tw, sym)) % tw.ctx.r) for sym, c in x.terms]
     total = sum(s for _, _, s in per_term) % tw.ctx.r
     return per_term, total
@@ -101,17 +98,16 @@ class ZrSubgroup:
         return self.generator == self.modulus
 
 
-def tors_map_image(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = False) -> ZrSubgroup:
+def tors_map_image(ctx: ModuliContext) -> ZrSubgroup:
     """Image in Z/r of the torsion subgroup under the fiber restriction.
 
     Computed twice: from the closed form (zero for r odd or r = 2 mod 4,
     generated by r(12 eps + chi) / (8 gcd(r,3)) for r = 0 mod 4) and by
     evaluating the torsion generator directly. Disagreement is an error.
     """
-    ctx = ModuliContext(r, g, eps, allow_unstable=allow_unstable)
     ctx.require_nonempty()
     ctx.require_h2_range()
-    chi = ctx.chi
+    r, g, eps, chi = ctx.r, ctx.g, ctx.eps, ctx.chi
     if r % 4 == 0:
         num = r * (12 * eps + chi)
         den = 8 * gcd(r, 3)
@@ -137,11 +133,10 @@ def tors_map_image(r: int, g: int, eps: Optional[int] = None, allow_unstable: bo
     return closed
 
 
-def h1_theta(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = False) -> FgAbGroup:
+def h1_theta(ctx: ModuliContext) -> FgAbGroup:
     """Stable first integral homology of the r-theta-characteristic
     moduli space: dual of the kernel of the torsion fiber map."""
-    ctx = ModuliContext(r, g, eps, allow_unstable=allow_unstable)
-    image = tors_map_image(r, g, eps, allow_unstable=allow_unstable)
+    image = tors_map_image(ctx)
     n = ctx.torsion_order
     if n % image.order:
         raise errors.InternalConsistencyError(
@@ -150,16 +145,16 @@ def h1_theta(r: int, g: int, eps: Optional[int] = None, allow_unstable: bool = F
     return pontrjagin_dual(FgAbGroup.cyclic(n // image.order))
 
 
-def theta_g_dependence_note(r: int, g: int, eps: Optional[int], image: ZrSubgroup) -> Optional[str]:
+def theta_g_dependence_note(ctx: ModuliContext, image: ZrSubgroup) -> Optional[str]:
     """Warn when the r = 4 image, as computed by tors_map_image, deviates
     from its advertised g-independent value (it agrees at g = 9)."""
-    if r != 4:
+    if ctx.r != 4:
         return None
-    expected_order = 1 if eps == 0 else 2
+    expected_order = 1 if ctx.eps == 0 else 2
     if image.order == expected_order:
         return None
     return (
-        f"fiber image at (r=4, g={g}, eps={eps}) has order {image.order}, "
+        f"fiber image at (r=4, g={ctx.g}, eps={ctx.eps}) has order {image.order}, "
         f"not the order {expected_order} seen at g=9; the image formula is g-dependent"
     )
 

@@ -140,17 +140,17 @@ def test_criterion_4_homology_tables():
             if r % 3 == 0:
                 orders.append(3)
             expected_t = FgAbGroup.from_orders(orders)
-            assert h1_moduli(r, g, eps) == expected_t
-            assert h2_moduli(r, g, eps) == FgAbGroup.free(1).direct_sum(expected_t)
+            assert h1_moduli(ModuliContext(r, g, eps)) == expected_t
+            assert h2_moduli(ModuliContext(r, g, eps)) == FgAbGroup.free(1).direct_sum(expected_t)
 
 
 def test_criterion_5_theta_examples():
     with criterion(5, "theta-characteristic homology and subgroups"):
-        assert h1_theta(2, 9, 0) == FgAbGroup.cyclic(4)
-        assert h1_theta(2, 9, 1) == FgAbGroup.cyclic(4)
-        assert h1_theta(3, 10) == FgAbGroup.cyclic(3)
-        assert h1_theta(4, 9, 0) == FgAbGroup.cyclic(8)
-        assert h1_theta(4, 9, 1) == FgAbGroup.cyclic(4)
+        assert h1_theta(ModuliContext(2, 9, 0)) == FgAbGroup.cyclic(4)
+        assert h1_theta(ModuliContext(2, 9, 1)) == FgAbGroup.cyclic(4)
+        assert h1_theta(ModuliContext(3, 10)) == FgAbGroup.cyclic(3)
+        assert h1_theta(ModuliContext(4, 9, 0)) == FgAbGroup.cyclic(8)
+        assert h1_theta(ModuliContext(4, 9, 1)) == FgAbGroup.cyclic(4)
         sub = h2_theta_subgroup(ModuliContext(2, 9, 1))
         assert sub.index == 2
         assert [render_class(x, 2) for x in sub.generators] == ["lambda", "2*mu"]
@@ -196,7 +196,7 @@ def test_criterion_6_cross_model_consistency():
                     continue
                 for eps in (0, 1):
                     ctx = ModuliContext(r, g, eps)
-                    img = tors_map_image(r, g, eps)
+                    img = tors_map_image(ctx)
                     direct = eval_on_fiber(ctx, cl.torsion_generator(ctx)).value
                     assert img == ZrSubgroup.generated_by(r, direct)
 

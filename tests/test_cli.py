@@ -177,6 +177,21 @@ class TestTwist:
         assert "total shift: 2 mod 4" in out
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--r", "3", "--g", "9", "--beta", "1", "lambda"],
+            ["--r", "4", "--g", "10", "--eps", "0", "--arf", "0", "--beta", "1", "mu"],
+            ["--r", "3", "--g", "9", "--beta", "1", "kappa1"],
+            ["--r", "3", "--g", "9", "--beta", "1", "0"],
+        ],
+    )
+    def test_empty_space_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "twist", *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: no ") and err.count("\n") == 1
+
+
 class TestTable:
     def test_rows_2_to_4(self, capsys):
         code, out, _ = run(capsys, "table", "--r-min", "2", "--r-max", "4")
@@ -219,6 +234,70 @@ class TestOnePresentationPerQuery:
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert len(calls) == 1
+
+
+class TestOneContextPerQuery:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--r", "3", "--g", "10"],
+            ["report", "--r", "6", "--g", "10", "--eps", "1"],
+            ["theta", "--r", "4", "--g", "9", "--eps", "1"],
+            ["eval", "--r", "3", "--g", "10", "3*lambda(1/3) + lambda"],
+            ["twist", "--r", "4", "--g", "9", "--eps", "1", "--arf", "1", "--beta", "1", "mu"],
+        ],
+    )
+    def test_context_built_once(self, capsys, monkeypatch, argv):
+        built = []
+        real = cl.ModuliContext.__post_init__
+
+        def counting(ctx):
+            built.append((ctx.r, ctx.g, ctx.eps))
+            real(ctx)
+
+        monkeypatch.setattr(cl.ModuliContext, "__post_init__", counting)
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert len(built) == 1
+
+
+# Exit codes per (r, g, --force) for report, eval, theta and twist. Every
+# subcommand with --g checks its context parameters (exit 2), then the
+# genus range (exit 3), then emptiness or its other input (exit 2). theta
+# exits 4 at (3, 7) with --force because its two fiber-image computations
+# disagree at odd r divisible by 3 (ROADMAP item 0).
+_GUARD_CODES = {
+    (3, 5, False): (3, 3, 3, 3),  # empty, below the range
+    (3, 5, True): (0, 2, 2, 2),
+    (3, 9, False): (0, 2, 2, 2),  # empty, in the range: report notes it
+    (3, 9, True): (0, 2, 2, 2),
+    (3, 7, False): (3, 3, 3, 3),  # nonempty, below the range
+    (3, 7, True): (0, 0, 4, 0),
+}
+_GUARD_ARGS = {"report": [], "eval": ["lambda"], "theta": [], "twist": ["--beta", "1", "lambda"]}
+
+
+class TestGuardOrder:
+    @pytest.mark.parametrize(
+        "cmd,r,g,force,expected",
+        [
+            (cmd, r, g, force, codes[i])
+            for (r, g, force), codes in _GUARD_CODES.items()
+            for i, cmd in enumerate(_GUARD_ARGS)
+        ],
+    )
+    def test_exit_code_and_one_line(self, capsys, cmd, r, g, force, expected):
+        argv = [cmd, "--r", str(r), "--g", str(g)] + (["--force"] if force else []) + _GUARD_ARGS[cmd]
+        code, out, err = run(capsys, *argv)
+        assert code == expected, err
+        if code == 0:
+            assert out and err == ""
+            return
+        assert out == "" and err.count("\n") == 1
+        if code == 3:
+            assert err == f"error: g = {g} is below the stable range g >= 9 for H^2\n"
+        elif code == 2:
+            assert err.startswith(f"error: no 3-Spin structures in genus {g}:")
 
 
 class TestEvalForce:

@@ -59,7 +59,7 @@ class TestPi1:
     def test_matches_h2_torsion(self, r):
         g = stable_genus(r)
         eps = 0 if r % 2 == 0 else None
-        h2 = h2_moduli(r, g, eps)
+        h2 = h2_moduli(ModuliContext(r, g, eps))
         assert h2.free_rank == 1
         assert FgAbGroup(0, h2.invariant_factors) == pi1_mtspin(r)
 
@@ -96,27 +96,27 @@ class TestPi2Multiplier:
 
 class TestModuliHomology:
     def test_h1_examples(self):
-        assert h1_moduli(2, 9, 0) == FgAbGroup.cyclic(4)
-        assert h1_moduli(6, 7, 1) == FgAbGroup.cyclic(12)
-        assert h1_moduli(5, 16) == FgAbGroup.trivial()
+        assert h1_moduli(ModuliContext(2, 9, 0)) == FgAbGroup.cyclic(4)
+        assert h1_moduli(ModuliContext(6, 7, 1)) == FgAbGroup.cyclic(12)
+        assert h1_moduli(ModuliContext(5, 16)) == FgAbGroup.trivial()
 
     def test_h2_examples(self):
-        assert h2_moduli(2, 9, 0) == FgAbGroup(1, (4,))
-        assert h2_moduli(3, 10) == FgAbGroup(1, (3,))
-        assert h2_moduli(4, 9, 1) == FgAbGroup(1, (8,))
+        assert h2_moduli(ModuliContext(2, 9, 0)) == FgAbGroup(1, (4,))
+        assert h2_moduli(ModuliContext(3, 10)) == FgAbGroup(1, (3,))
+        assert h2_moduli(ModuliContext(4, 9, 1)) == FgAbGroup(1, (8,))
 
     def test_guards(self):
         with pytest.raises(errors.StableRangeError):
-            h1_moduli(2, 5, 0)
+            h1_moduli(ModuliContext(2, 5, 0))
         with pytest.raises(errors.StableRangeError):
-            h2_moduli(2, 7, 0)
+            h2_moduli(ModuliContext(2, 7, 0))
         with pytest.raises(errors.EmptyModuliError):
-            h2_moduli(3, 9)
+            h2_moduli(ModuliContext(3, 9))
         with pytest.raises(errors.EpsParityError):
-            h1_moduli(3, 10, 0)
+            h1_moduli(ModuliContext(3, 10, 0))
 
     def test_override(self):
-        assert h2_moduli(2, 7, 0, allow_unstable=True) == FgAbGroup(1, (4,))
+        assert h2_moduli(ModuliContext(2, 7, 0, allow_unstable=True)) == FgAbGroup(1, (4,))
 
 
 class TestRangeGuard:
@@ -131,14 +131,14 @@ class TestRangeGuard:
 
 class TestPicardReport:
     def test_r2(self):
-        rep = picard_report(2, 9, 0)
+        rep = picard_report(ModuliContext(2, 9, 0))
         assert rep["group"] == FgAbGroup(1, (4,))
         assert rep["presentation"].render(2) == "<lambda, mu | 4(lambda + 4*mu)>"
 
     def test_r3(self):
-        assert picard_report(3, 10)["group"] == FgAbGroup(1, (3,))
+        assert picard_report(ModuliContext(3, 10))["group"] == FgAbGroup(1, (3,))
 
     def test_r5(self):
-        rep = picard_report(5, 16)
+        rep = picard_report(ModuliContext(5, 16))
         assert rep["group"] == FgAbGroup.free(1)
         assert rep["presentation"].group() == FgAbGroup.free(1)

@@ -53,6 +53,23 @@ class TestTwistShift:
         with pytest.raises(errors.MuUndefinedError):
             twist_shift(tw, MU)
 
+    @pytest.mark.parametrize(
+        "ctx,arf,sym",
+        [
+            (ModuliContext(3, 9), None, Lambda(1)),
+            (ModuliContext(3, 9), None, Kappa1(1)),
+            (ModuliContext(4, 10, 0), 0, MU),
+        ],
+    )
+    def test_empty_space_rejected(self, ctx, arf, sym):
+        tw = TwistInput(ctx, arf, beta_coefficient=1)
+        with pytest.raises(errors.EmptyModuliError):
+            twist_shift(tw, sym)
+        with pytest.raises(errors.EmptyModuliError):
+            eval_on_fiber(ctx, FormalClass.single(sym))
+        with pytest.raises(errors.EmptyModuliError):
+            twist_class(tw, FormalClass.zero())
+
     def test_arf_parity_validation(self):
         with pytest.raises(errors.EpsParityError):
             TwistInput(ctx_for(4, eps=0), arf=None, beta_coefficient=1)
@@ -101,14 +118,14 @@ class TestEvalOnFiber:
 
 class TestTorsMapImage:
     def test_r2_zero(self):
-        assert tors_map_image(2, 9, 0).is_trivial()
+        assert tors_map_image(ModuliContext(2, 9, 0)).is_trivial()
 
     def test_r3_zero(self):
-        assert tors_map_image(3, 10).is_trivial()
+        assert tors_map_image(ModuliContext(3, 10)).is_trivial()
 
     def test_r4_g9(self):
-        assert tors_map_image(4, 9, 0).is_trivial()
-        img = tors_map_image(4, 9, 1)
+        assert tors_map_image(ModuliContext(4, 9, 0)).is_trivial()
+        img = tors_map_image(ModuliContext(4, 9, 1))
         assert (img.generator, img.order) == (2, 2)
 
     @pytest.mark.parametrize("r", [4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48])
@@ -120,7 +137,7 @@ class TestTorsMapImage:
                 continue
             for eps in (0, 1):
                 ctx = ModuliContext(r, g, eps)
-                img = tors_map_image(r, g, eps)
+                img = tors_map_image(ctx)
                 direct = eval_on_fiber(ctx, torsion_generator(ctx)).value
                 assert img == ZrSubgroup.generated_by(r, direct)
 
@@ -131,21 +148,21 @@ class TestTorsMapImage:
             for eps in eps_vals:
                 ctx = ModuliContext(r, g, eps)
                 try:
-                    img = tors_map_image(r, g, eps)
+                    img = tors_map_image(ctx)
                 except errors.InternalConsistencyError:
                     # the closed form and the direct evaluation can
                     # disagree for odd r divisible by 3; that mismatch
                     # is surfaced, never silently resolved
                     assert r % 2 == 1 and r % 3 == 0
                     continue
-                h1 = h1_theta(r, g, eps)
+                h1 = h1_theta(ctx)
                 assert h1.order() * img.order == ctx.torsion_order
 
     def test_known_mismatch_is_surfaced(self):
         # r = 9, g = 10: the closed form gives the zero subgroup, the
         # torsion generator evaluates to a nonzero element of Z/9
         with pytest.raises(errors.InternalConsistencyError):
-            tors_map_image(9, 10)
+            tors_map_image(ModuliContext(9, 10))
 
 
 class TestH1Theta:
@@ -160,11 +177,12 @@ class TestH1Theta:
         ],
     )
     def test_examples(self, r, g, eps, expected):
-        assert h1_theta(r, g, eps) == FgAbGroup.cyclic(expected)
+        assert h1_theta(ModuliContext(r, g, eps)) == FgAbGroup.cyclic(expected)
 
     def test_g_dependence_note(self):
         def note(r, g, eps):
-            return theta_g_dependence_note(r, g, eps, tors_map_image(r, g, eps))
+            ctx = ModuliContext(r, g, eps)
+            return theta_g_dependence_note(ctx, tors_map_image(ctx))
 
         assert note(4, 9, 0) is None
         assert note(4, 9, 1) is None
