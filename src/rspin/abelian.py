@@ -218,13 +218,6 @@ def hermite_normal_form(rows: Iterable[Sequence[int]], cols: int) -> IntMatrix:
         work = [r for r in work if any(r) and r is not pivot]
         if pivot[c] < 0:
             pivot = [-x for x in pivot]
-        # clear the pivot column in rows that no longer lead here
-        for r in work:
-            if r[c]:
-                q = r[c] // pivot[c]
-                for j in range(cols):
-                    r[j] -= q * pivot[j]
-        work = [r for r in work if any(r)]
         for b in basis:
             if b[c]:
                 q = b[c] // pivot[c]
@@ -394,10 +387,8 @@ def subgroup_info(ambient_torsion: int, generators: Iterable) -> SubgroupInfo:
     rows = [(int(f), int(t) % n) for f, t in generators]
     rows.append((0, n))
     basis = hermite_normal_form(rows, 2)
-    coeffs = solve_in_lattice(basis, (0, n))
-    assert coeffs is not None
-    # the subgroup is Z^rows modulo the one relation coeffs
-    g = gcd(*coeffs)
+    # (0, N) is N/h times the last basis row (0, h), a basis vector
+    g = n // basis.at(basis.rows - 1, 1)
     group = FgAbGroup(basis.rows - 1, (g,) if g > 1 else ())
     if basis.rows == 2:
         index = basis.at(0, 0) * basis.at(1, 1)
@@ -411,13 +402,3 @@ def element_order(modulus: int, t: int) -> int:
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     return modulus // gcd(modulus, t % modulus)
-
-
-def pontrjagin_dual(g: FgAbGroup) -> FgAbGroup:
-    """Character group of a finite abelian group (isomorphic to itself).
-
-    Named so that call sites document the duality step.
-    """
-    if g.free_rank:
-        raise ValueError("Pontrjagin dual is only taken of finite groups")
-    return g

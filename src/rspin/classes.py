@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import errors
 from .abelian import (
@@ -316,14 +316,15 @@ def generator_lift(ctx: ModuliContext) -> FormalClass:
 
     (i) for g > 0 dividing v, _ext_gcd(g, v) = (g, 1, 0), a no-op, unless
         v is g, -g or -2g (then it is (g, 0, 1), (g, 0, -1), (g, -1, -1));
-    (ii) v(a + 2g) - v(a) = u g (2a + 2g - r), so v(a) mod g has period
-        2g in a: if g divides v(a) on a window of 2g consecutive a, it
-        divides every later v(a) too.
+    (ii) g = gcd(v(0), v(1)) divides every v(a). A prime p >= 5 dividing
+        both would divide r^2 and r - 1. 3 does not divide v(0) = ur^2/12
+        if 3 does not divide r, nor v(0) - v(1) = u(r - 1)/2 if it does.
+        4 does not divide v(0) for odd r (it is odd), nor u(r - 1)/2 for
+        even r. So g is 1 or 2, and v(a + 2) - v(a) = u(2a + 2 - r) is
+        even because u is.
 
-    After lambda(0/r) and lambda(1/r), g is 1 or 2, and the walk jumps
-    from event to event: the first a with g not dividing v(a), found in
-    one window, and the roots of v(a) in {g, -g, -2g}, found by one isqrt
-    each. The cost does not grow with r.
+    So after lambda(1/r) the walk steps only the roots of v(a) in
+    {g, -g, -2g}, found by one isqrt each. The cost does not grow with r.
     """
     ctx.require_h2_range()
     r = ctx.r
@@ -332,20 +333,14 @@ def generator_lift(ctx: ModuliContext) -> FormalClass:
     def step(sym):
         nonlocal g, combo
         g, x, y = _ext_gcd(g, _symbol_free(ctx, sym))
-        combo = _scale_add(x, combo, y, FormalClass.single(sym))
+        combo = x * combo + y * FormalClass.single(sym)
 
     step(Lambda(0))
     step(Lambda(1))
-    a = 2
-    while a <= r:
-        window = range(a, min(a + 2 * g, r + 1))
-        change = next((b for b in window if _symbol_free(ctx, Lambda(b)) % g), None)
-        for b in _lambda_roots(ctx, (g, -g, -2 * g), a, r + 1 if change is None else change):
-            step(Lambda(b))
-        if change is None:
-            break
-        step(Lambda(change))
-        a = change + 1
+    if g not in (1, 2):
+        raise errors.InternalConsistencyError(f"lambda(0/r) and lambda(1/r) have common factor {g} at r = {r}")
+    for b in _lambda_roots(ctx, (g, -g, -2 * g), 2, r + 1):
+        step(Lambda(b))
     step(Kappa1(1))
     if r % 2 == 0:
         step(MU)
@@ -388,10 +383,6 @@ def _ext_gcd(a: int, b: int):
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
-
-
-def _scale_add(a: int, x: FormalClass, b: int, y: FormalClass) -> FormalClass:
-    return (a * x) + (b * y)
 
 
 @dataclass(frozen=True)

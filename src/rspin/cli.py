@@ -170,7 +170,7 @@ def cmd_eval(args) -> dict:
 def cmd_theta(args) -> dict:
     ctx = _make_ctx(args)
     image = twists.tors_map_image(ctx)
-    h1 = twists.h1_theta(ctx)
+    h1 = twists.h1_theta(ctx, image)
     sub = twists.h2_theta_subgroup(ctx)
     report = {
         "command": "theta",

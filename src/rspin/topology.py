@@ -3,31 +3,9 @@ homology of the r-Spin moduli spaces."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import errors
 from .abelian import FgAbGroup
 from .classes import ModuliContext, default_presentation, torsion_order_of, u_r
-
-
-@dataclass(frozen=True)
-class RangeGuard:
-    """Records whether a query sits inside a proven genus range."""
-
-    kind: str  # h1_stable | h2_stable | general_stable
-    satisfied: bool
-
-    @classmethod
-    def h1_stable(cls, g: int) -> "RangeGuard":
-        return cls("h1_stable", g >= ModuliContext.H1_STABLE_GENUS)
-
-    @classmethod
-    def h2_stable(cls, g: int) -> "RangeGuard":
-        return cls("h2_stable", g >= ModuliContext.H2_STABLE_GENUS)
-
-    @classmethod
-    def general_stable(cls, degree: int, g: int) -> "RangeGuard":
-        return cls("general_stable", 5 * degree <= 2 * g - 7)
 
 
 def spin_structure_count(r: int, g: int) -> int:
@@ -106,5 +84,4 @@ def picard_report(ctx: ModuliContext) -> dict:
         "group": h2_moduli(ctx),
         "presentation": default_presentation(ctx),
         "isomorphisms": "Pic_alg = NS = Pic_top = H^2",
-        "guard": RangeGuard.h2_stable(ctx.g),
     }

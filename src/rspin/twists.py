@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 from . import classes as cl
 from . import errors
-from .abelian import FgAbGroup, HomZN, group_from_presentation, kernel_lattice, pontrjagin_dual, subgroup_info
+from .abelian import FgAbGroup, HomZN, group_from_presentation, kernel_lattice, subgroup_info
 from .classes import ClassSymbol, FormalClass, KAPPA1, LAMBDA, ModuliContext, Presentation
 
 
@@ -35,9 +35,7 @@ class TwistInput:
 def _fiber_value(ctx: ModuliContext, symbol: ClassSymbol, arf: Optional[int]) -> int:
     """The beta-multiple one named class restricts to on the fiber, for a
     structure with Arf invariant arf: zero for the fractional Hodge
-    classes, 2a^2 chi/r for kappa1(a/r), and arf * r/2 for mu. An empty
-    moduli space has no fiber, so every symbol requires a nonempty one."""
-    ctx.require_nonempty()
+    classes, 2a^2 chi/r for kappa1(a/r), and arf * r/2 for mu."""
     if symbol.kind == LAMBDA:
         return 0
     if symbol.kind == KAPPA1:
@@ -46,17 +44,24 @@ def _fiber_value(ctx: ModuliContext, symbol: ClassSymbol, arf: Optional[int]) ->
     return arf * (ctx.r // 2)
 
 
+def _fiber_terms(ctx: ModuliContext, x: FormalClass, arf: Optional[int]) -> list:
+    """(symbol, coefficient, fiber value) per term of x. An empty moduli
+    space has no fiber, so every class, 0 included, is rejected here."""
+    ctx.require_nonempty()
+    return [(sym, c, _fiber_value(ctx, sym, arf)) for sym, c in x.terms]
+
+
 def twist_shift(tw: TwistInput, symbol: ClassSymbol) -> int:
     """The beta(D)-multiple added to one named class under twisting, as
     an element of Z/r. The fractional Hodge classes are twist-invariant."""
-    return _fiber_value(tw.ctx, symbol, tw.arf) * tw.beta_coefficient % tw.ctx.r
+    return twist_class(tw, FormalClass.single(symbol))[1]
 
 
 def twist_class(tw: TwistInput, x: FormalClass):
     """Per-term shifts and their total for an integer combination."""
-    tw.ctx.require_nonempty()  # the zero class has no term to check it
-    per_term = [(sym, c, (c * twist_shift(tw, sym)) % tw.ctx.r) for sym, c in x.terms]
-    total = sum(s for _, _, s in per_term) % tw.ctx.r
+    r, beta = tw.ctx.r, tw.beta_coefficient
+    per_term = [(sym, c, c * v * beta % r) for sym, c, v in _fiber_terms(tw.ctx, x, tw.arf)]
+    total = sum(s for _, _, s in per_term) % r
     return per_term, total
 
 
@@ -74,7 +79,7 @@ class EvalOnFiber:
 def eval_on_fiber(ctx: ModuliContext, x: FormalClass) -> EvalOnFiber:
     """Restriction of a degree-two class to the fiber of the gerbe
     relating the two moduli spaces; a map onto a subgroup of Z/r."""
-    total = sum(c * _fiber_value(ctx, sym, ctx.eps) for sym, c in x.terms)
+    total = sum(c * v for _, c, v in _fiber_terms(ctx, x, ctx.eps))
     return EvalOnFiber(ctx.r, total % ctx.r)
 
 
@@ -133,16 +138,16 @@ def tors_map_image(ctx: ModuliContext) -> ZrSubgroup:
     return closed
 
 
-def h1_theta(ctx: ModuliContext) -> FgAbGroup:
-    """Stable first integral homology of the r-theta-characteristic
-    moduli space: dual of the kernel of the torsion fiber map."""
-    image = tors_map_image(ctx)
+def h1_theta(ctx: ModuliContext, image: ZrSubgroup) -> FgAbGroup:
+    """Stable first integral homology of the r-theta-characteristic moduli
+    space: dual of the kernel of the torsion fiber map, whose image is given."""
     n = ctx.torsion_order
     if n % image.order:
         raise errors.InternalConsistencyError(
             f"fiber image order {image.order} does not divide the torsion order {n}"
         )
-    return pontrjagin_dual(FgAbGroup.cyclic(n // image.order))
+    # the kernel is finite, and a finite abelian group is its own dual
+    return FgAbGroup.cyclic(n // image.order)
 
 
 def theta_g_dependence_note(ctx: ModuliContext, image: ZrSubgroup) -> Optional[str]:

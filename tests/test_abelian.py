@@ -15,7 +15,6 @@ from rspin.abelian import (
     group_from_presentation,
     hermite_normal_form,
     kernel_lattice,
-    pontrjagin_dual,
     smith_normal_form,
     solve_in_lattice,
     subgroup_info,
@@ -292,16 +291,6 @@ class TestElementOrder:
     @pytest.mark.parametrize("n,t,expected", [(24, 6, 4), (24, 0, 1), (24, 3, 8)])
     def test_examples(self, n, t, expected):
         assert element_order(n, t) == expected
-
-
-class TestPontrjaginDual:
-    def test_self_dual(self):
-        for g in [FgAbGroup.cyclic(4), FgAbGroup(0, (2, 8)), FgAbGroup.trivial()]:
-            assert pontrjagin_dual(g) == g
-
-    def test_rejects_free(self):
-        with pytest.raises(ValueError):
-            pontrjagin_dual(FgAbGroup.free(1))
 
 
 class TestFgAbGroup:

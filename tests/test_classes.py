@@ -373,6 +373,11 @@ class TestGeneratorLift:
     def test_gcd_after_first_two_steps(self, r):
         assert gcd(_lambda_free(r, 0), _lambda_free(r, 1)) in (1, 2)
 
+    @given(st.integers(min_value=2, max_value=10**30), st.integers(min_value=0, max_value=10**30))
+    def test_first_gcd_divides_every_coordinate(self, r, a):
+        # fact (ii): gcd(v(0), v(1)) divides every v(a), so no later lambda(a/r) lowers g
+        assert _lambda_free(r, a) % gcd(_lambda_free(r, 0), _lambda_free(r, 1)) == 0
+
     @pytest.mark.parametrize("r", [33, 40])
     def test_coords_hom_lifts_once(self, monkeypatch, r):
         ctx = ctx_for(r)

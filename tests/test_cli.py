@@ -6,7 +6,7 @@ import json
 import pytest
 
 from rspin import classes as cl
-from rspin import cli, topology
+from rspin import cli, topology, twists
 
 
 @pytest.fixture(autouse=True)
@@ -126,6 +126,10 @@ class TestTheta:
         code, out, _ = run(capsys, "theta", "--r", "4", "--g", "9", "--eps", "0")
         assert code == 0
         assert "h1: Z/8" in out
+        assert "warning" not in out
+        code, out, _ = run(capsys, "theta", "--r", "4", "--g", "9", "--eps", "0", "--json")
+        assert code == 0
+        assert "warning" not in json.loads(out)
 
     def test_force_below_range(self, capsys):
         code, out, err = run(capsys, "theta", "--r", "4", "--g", "5", "--eps", "1", "--force")
@@ -137,6 +141,35 @@ class TestTheta:
         code, _, err = run(capsys, "theta", "--r", "9", "--g", "10")
         assert code == 4
         assert "consistency" in err
+
+    # pins the current r = 4 g-dependence note (ROADMAP item 0 decides
+    # whether it stays)
+    _R4_NOTE = (
+        "fiber image at (r=4, g=11, eps=0) has order 2, not the order 1 seen at g=9; "
+        "the image formula is g-dependent"
+    )
+
+    def test_r4_g11_warning(self, capsys):
+        code, out, err = run(capsys, "theta", "--r", "4", "--g", "11", "--eps", "0")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"warning: {self._R4_NOTE}\n")
+        code, out, err = run(capsys, "theta", "--r", "4", "--g", "11", "--eps", "0", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["warning"] == self._R4_NOTE
+
+    @pytest.mark.parametrize("r,g,eps", [("4", "11", "0"), ("10", "11", "1"), ("3", "10", None)])
+    def test_fiber_image_computed_once(self, capsys, monkeypatch, r, g, eps):
+        calls = []
+        real = twists.tors_map_image
+
+        def counting(ctx):
+            calls.append(ctx.r)
+            return real(ctx)
+
+        monkeypatch.setattr(twists, "tors_map_image", counting)
+        code, _, err = run(capsys, "theta", "--r", r, "--g", g, *(["--eps", eps] if eps else []))
+        assert code == 0, err
+        assert len(calls) == 1
 
 
 class TestTwist:

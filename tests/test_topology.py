@@ -7,7 +7,6 @@ from rspin import errors
 from rspin.abelian import FgAbGroup
 from rspin.classes import FormalClass, Lambda, ModuliContext, free_coordinate, stable_genus
 from rspin.topology import (
-    RangeGuard,
     h1_moduli,
     h2_moduli,
     orbit_count,
@@ -117,16 +116,6 @@ class TestModuliHomology:
 
     def test_override(self):
         assert h2_moduli(ModuliContext(2, 7, 0, allow_unstable=True)) == FgAbGroup(1, (4,))
-
-
-class TestRangeGuard:
-    def test_kinds(self):
-        assert RangeGuard.h1_stable(6).satisfied
-        assert not RangeGuard.h1_stable(5).satisfied
-        assert RangeGuard.h2_stable(9).satisfied
-        assert not RangeGuard.h2_stable(8).satisfied
-        assert RangeGuard.general_stable(2, 9).satisfied  # 10 <= 11
-        assert not RangeGuard.general_stable(3, 10).satisfied  # 15 > 13
 
 
 class TestPicardReport:

@@ -68,6 +68,8 @@ class TestTwistShift:
         with pytest.raises(errors.EmptyModuliError):
             eval_on_fiber(ctx, FormalClass.single(sym))
         with pytest.raises(errors.EmptyModuliError):
+            eval_on_fiber(ctx, FormalClass.zero())
+        with pytest.raises(errors.EmptyModuliError):
             twist_class(tw, FormalClass.zero())
 
     def test_arf_parity_validation(self):
@@ -155,7 +157,7 @@ class TestTorsMapImage:
                     # is surfaced, never silently resolved
                     assert r % 2 == 1 and r % 3 == 0
                     continue
-                h1 = h1_theta(ctx)
+                h1 = h1_theta(ctx, img)
                 assert h1.order() * img.order == ctx.torsion_order
 
     def test_known_mismatch_is_surfaced(self):
@@ -177,7 +179,8 @@ class TestH1Theta:
         ],
     )
     def test_examples(self, r, g, eps, expected):
-        assert h1_theta(ModuliContext(r, g, eps)) == FgAbGroup.cyclic(expected)
+        ctx = ModuliContext(r, g, eps)
+        assert h1_theta(ctx, tors_map_image(ctx)) == FgAbGroup.cyclic(expected)
 
     def test_g_dependence_note(self):
         def note(r, g, eps):
