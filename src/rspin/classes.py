@@ -18,6 +18,7 @@ from .abelian import (
     FgAbGroup,
     HomZN,
     IntMatrix,
+    element_order,
     group_from_presentation,
     kernel_lattice,
     subgroup_info,
@@ -63,13 +64,11 @@ class FormalClass:
     terms: tuple = ()  # sorted pairs (ClassSymbol, nonzero coefficient)
 
     @classmethod
-    def of(cls, mapping) -> "FormalClass":
+    def of(cls, pairs) -> "FormalClass":
         acc = {}
-        items = mapping.items() if hasattr(mapping, "items") else mapping
-        for sym, c in items:
+        for sym, c in pairs:
             acc[sym] = acc.get(sym, 0) + int(c)
-        pairs = tuple(sorted(((s, c) for s, c in acc.items() if c), key=lambda p: p[0].sort_key()))
-        return cls(pairs)
+        return cls(tuple(sorted(((s, c) for s, c in acc.items() if c), key=lambda p: p[0].sort_key())))
 
     @classmethod
     def zero(cls) -> "FormalClass":
@@ -113,35 +112,26 @@ def render_symbol(sym: ClassSymbol, r: int) -> str:
 
 
 def render_class(x: FormalClass, r: int) -> str:
-    if x.is_zero():
-        return "0"
+    return _signed_sum((c, render_symbol(sym, r)) for sym, c in x.terms)
+
+
+def _signed_sum(pairs) -> str:
+    """'c1*n1 + c2*n2 - ...' over the (coefficient, name) pairs with a
+    nonzero coefficient, unit coefficients dropped; '0' when there is none."""
     parts = []
-    for i, (sym, c) in enumerate(x.terms):
-        name = render_symbol(sym, r)
+    for c, name in pairs:
+        if not c:
+            continue
         body = name if abs(c) == 1 else f"{abs(c)}*{name}"
-        if i == 0:
+        if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(parts)
+    return " ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
 # context
-
-
-def u_r(r: int) -> int:
-    """The divisibility constant: 2, 4, 6 or 12 depending on r mod 12."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    by4, by3 = r % 4 == 0, r % 3 == 0
-    if by4 and by3:
-        return 2
-    if by3:
-        return 4
-    if by4:
-        return 6
-    return 12
 
 
 def torsion_order_of(r: int) -> int:
@@ -150,6 +140,14 @@ def torsion_order_of(r: int) -> int:
     t2 = 4 if r % 4 == 2 else 8 if r % 4 == 0 else 1
     t3 = 3 if r % 3 == 0 else 1
     return t2 * t3
+
+
+def u_r(r: int) -> int:
+    """The divisibility constant 2, 4, 6 or 12, read off N = torsion_order_of(r):
+    at every residue of r mod 12, u * N is 12 for odd r and 48 for even r."""
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    return (12 if r % 2 else 48) // torsion_order_of(r)
 
 
 @dataclass(frozen=True)
@@ -434,34 +432,34 @@ def _lam(r: int, a: int) -> ClassSymbol:
     return Lambda(r if a == 0 else a)
 
 
-def lambda_difference_torsion(ctx: ModuliContext, a: int, b: int) -> FormalClass:
-    """Torsion class built from two fractional Hodge classes."""
-    qa, qb = _quad(ctx.r, a), _quad(ctx.r, b)
-    if qa == 0 and qb == 0:
-        raise errors.DegenerateInputError(f"both quadratic coefficients vanish at r={ctx.r}, a={a}, b={b}")
-    u = gcd(qa, qb)
-    out = FormalClass.of([(_lam(ctx.r, a), qb // u), (_lam(ctx.r, b), -(qa // u))])
+def _torsion_pair(ctx: ModuliContext, s: ClassSymbol, t: ClassSymbol) -> FormalClass:
+    """The primitive combination (w/g) s - (v/g) t, free coordinate 0,
+    where v and w are the free coordinates of s and t and g = gcd(v, w).
+
+    g > 0 for every pair of named classes: kappa1(1/r) and mu have free
+    coordinates u and -ur^2/48, and lambda(a/r) has u(r^2 - 6ar + 6a^2)/12,
+    whose roots a = r(3 +- sqrt 3)/6 are irrational for r >= 2.
+    """
+    v, w = _symbol_free(ctx, s), _symbol_free(ctx, t)
+    g = gcd(v, w)
+    out = FormalClass.of([(s, w // g), (t, -(v // g))])
     assert free_coordinate(ctx, out) == 0
     return out
+
+
+def lambda_difference_torsion(ctx: ModuliContext, a: int, b: int) -> FormalClass:
+    """Torsion class built from two fractional Hodge classes."""
+    return _torsion_pair(ctx, _lam(ctx.r, a), _lam(ctx.r, b))
 
 
 def lambda_kappa_torsion(ctx: ModuliContext, a: int) -> FormalClass:
     """Torsion class built from a fractional Hodge class and kappa1(1/r)."""
-    qa = _quad(ctx.r, a)
-    u = gcd(12, qa)
-    out = FormalClass.of([(_lam(ctx.r, a), 12 // u), (Kappa1(1), -(qa // u))])
-    assert free_coordinate(ctx, out) == 0
-    return out
+    return _torsion_pair(ctx, _lam(ctx.r, a), Kappa1(1))
 
 
 def mu_kappa_torsion(ctx: ModuliContext) -> FormalClass:
     """Torsion class built from mu and kappa1(1/r); r even only."""
-    ctx.require_mu()
-    rr = ctx.r * ctx.r
-    u = gcd(rr, 48)
-    out = FormalClass.of([(MU, 48 // u), (Kappa1(1), rr // u)])
-    assert free_coordinate(ctx, out) == 0
-    return out
+    return _torsion_pair(ctx, MU, Kappa1(1))
 
 
 def torsion_generator(ctx: ModuliContext) -> FormalClass:
@@ -476,7 +474,7 @@ def torsion_generator(ctx: ModuliContext) -> FormalClass:
         gen = lambda_kappa_torsion(ctx, 0)
     else:
         gen = mu_kappa_torsion(ctx)
-    order = 24 // gcd(24, phi_value(ctx, gen))
+    order = element_order(24, phi_value(ctx, gen))
     if order != n:
         raise errors.InternalConsistencyError(
             f"torsion generator for r = {ctx.r} has phi-order {order}, expected {n}"
@@ -502,27 +500,15 @@ class Presentation:
     def render(self, r: int) -> str:
         names = [render_class(g, r) for g in self.generators]
         rels = [render_relation(self.relations.row(i), names) for i in range(self.relations.rows)]
-        body = ", ".join(names)
-        return f"<{body} | {'; '.join(rels)}>" if rels else f"<{body} | >"
+        return f"<{', '.join(names)} | {'; '.join(rels)}>"
 
 
 def render_relation(row: Sequence[int], names: Sequence[str]) -> str:
     """Render a relation row, factoring out the content as the papers do."""
-    content = 0
-    for c in row:
-        content = gcd(content, c)
+    content = gcd(*row)
     inner = [c // content for c in row] if content > 1 else list(row)
-    parts = []
-    for c, name in zip(inner, names):
-        if not c:
-            continue
-        wrapped = f"({name})" if ("*" in name or " " in name) else name
-        body = wrapped if abs(c) == 1 else f"{abs(c)}*{wrapped}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {body}")
-    combo = " ".join(parts) if parts else "0"
+    wrapped = [f"({name})" if ("*" in name or " " in name) else name for name in names]
+    combo = _signed_sum(zip(inner, wrapped))
     return f"{content}({combo})" if content > 1 else combo
 
 
@@ -545,14 +531,17 @@ def presentation(ctx: ModuliContext, generators: Sequence[FormalClass]) -> Prese
         raise errors.NonGeneratingError(
             f"classes only generate a subgroup of index {idx} in H^2", index=info.index
         )
-    relations = kernel_lattice(hom)
-    pres = Presentation(gens, relations)
-    n = ctx.torsion_order
-    expected = FgAbGroup(1, (n,) if n > 1 else ())
-    if pres.group() != expected:
-        raise errors.InternalConsistencyError(
-            f"presentation cokernel {pres.group()} does not match {expected}"
-        )
+    # index 1: info.group is all of H^2, Z + Z/N
+    return kernel_presentation(gens, hom, info.group)
+
+
+def kernel_presentation(gens: tuple, hom: HomZN, group: FgAbGroup) -> Presentation:
+    """The classes gens, related by the kernel of their coordinate map
+    hom. The Smith cokernel of the relations must be group, the subgroup
+    gens generate as subgroup_info computes it from hom."""
+    pres = Presentation(gens, kernel_lattice(hom))
+    if (got := pres.group()) != group:
+        raise errors.InternalConsistencyError(f"presentation cokernel {got} does not match {group}")
     return pres
 
 

@@ -243,12 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, genus=True):
+    def common(p):
         p.add_argument("--r", type=int, required=True, help="the root order r >= 2")
-        if genus:
-            p.add_argument("--g", type=int, required=True, help="the genus g >= 2")
-            p.add_argument("--eps", type=int, choices=(0, 1), help="Arf invariant (even r only)")
-            p.add_argument("--force", action="store_true", help="allow genera below the stable range")
+        p.add_argument("--g", type=int, required=True, help="the genus g >= 2")
+        p.add_argument("--eps", type=int, choices=(0, 1), help="Arf invariant (even r only)")
+        p.add_argument("--force", action="store_true", help="allow genera below the stable range")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p = sub.add_parser("report", help="full structure report for one moduli space")

@@ -21,10 +21,6 @@ class MuUndefinedError(RSpinError):
     """The class mu only exists when r is even."""
 
 
-class DegenerateInputError(RSpinError):
-    """Inputs make a defining denominator vanish."""
-
-
 class TrivialTorsionError(RSpinError):
     """Requested a torsion generator but the torsion subgroup is trivial."""
 

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 from . import classes as cl
 from . import errors
-from .abelian import FgAbGroup, HomZN, group_from_presentation, kernel_lattice, subgroup_info
+from .abelian import FgAbGroup, HomZN, element_order, kernel_lattice, subgroup_info
 from .classes import ClassSymbol, FormalClass, KAPPA1, LAMBDA, ModuliContext, Presentation
 
 
@@ -184,26 +184,16 @@ def h2_theta_subgroup(ctx: ModuliContext, generators: Optional[Sequence[FormalCl
     gens = cl.default_generators(ctx) if generators is None else cl.presentation(ctx, generators).generators
     evals = [eval_on_fiber(ctx, x).value for x in gens]
     coeff_rows = kernel_lattice(HomZN(ctx.r, tuple((0, e) for e in evals)))
-    sub_gens = []
-    for i in range(coeff_rows.rows):
-        row = coeff_rows.row(i)
-        combo = FormalClass.zero()
-        for c, gen in zip(row, gens):
-            combo = combo + c * gen
-        sub_gens.append(combo)
-    sub_gens = tuple(sub_gens)
+    sub_gens = tuple(
+        sum((c * x for c, x in zip(row, gens)), FormalClass.zero()) for row in coeff_rows.to_rows()
+    )
 
     hom = cl.coords_hom(ctx, sub_gens)
     info = subgroup_info(ctx.torsion_order, hom.generator_images)
-    image_order = ctx.r // gcd(ctx.r, *evals) if evals else 1
+    image_order = element_order(ctx.r, gcd(*evals))
     if info.index != image_order:
         raise errors.InternalConsistencyError(
             f"subgroup index {info.index} does not match the fiber image order {image_order}"
         )
-    relations = kernel_lattice(hom)
-    pres = Presentation(sub_gens, relations)
-    if group_from_presentation(len(sub_gens), relations) != info.group:
-        raise errors.InternalConsistencyError(
-            "presentation of the kernel subgroup disagrees with its subgroup structure"
-        )
+    pres = cl.kernel_presentation(sub_gens, hom, info.group)
     return ThetaSubgroup(sub_gens, pres, info.group, info.index)

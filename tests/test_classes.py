@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import rspin.classes as cl
 from rspin import errors
+from rspin.abelian import IntMatrix
 from rspin.classes import (
     FormalClass,
     Kappa1,
@@ -27,6 +28,7 @@ from rspin.classes import (
     presentation,
     rational_multiple_of_lambda,
     render_class,
+    render_relation,
     stable_genus,
     torsion_generator,
     u_r,
@@ -47,6 +49,26 @@ class TestUr:
     @pytest.mark.parametrize("r,expected", [(2, 12), (3, 4), (4, 6), (12, 2), (6, 4), (8, 6), (24, 2), (5, 12)])
     def test_table(self, r, expected):
         assert u_r(r) == expected
+
+    def test_matches_four_branch_rule(self):
+        # the rule u_r replaced: 2, 4, 6, 12 by whether 4 and 3 divide r
+        def four_branch(r):
+            by4, by3 = r % 4 == 0, r % 3 == 0
+            if by4 and by3:
+                return 2
+            if by3:
+                return 4
+            if by4:
+                return 6
+            return 12
+
+        for r in range(2, 10**4 + 1):
+            assert u_r(r) == four_branch(r), r
+
+    def test_small_r_rejected(self):
+        for r in (1, 0, -4):
+            with pytest.raises(ValueError):
+                u_r(r)
 
 
 class TestFreeCoordinate:
@@ -159,10 +181,7 @@ class TestTorsionClasses:
     @settings(max_examples=120)
     def test_tab_free_coordinate_zero(self, r, a, b):
         ctx = ctx_for(r)
-        try:
-            t = lambda_difference_torsion(ctx, a, b)
-        except errors.DegenerateInputError:
-            return
+        t = lambda_difference_torsion(ctx, a, b)
         assert free_coordinate(ctx, t) == 0
         n = ctx.torsion_order
         assert (phi_value(ctx, t) * n) % 24 == 0
@@ -173,6 +192,36 @@ class TestTorsionClasses:
         ctx = ctx_for(r)
         t = lambda_kappa_torsion(ctx, a)
         assert free_coordinate(ctx, t) == 0
+
+
+    @given(
+        st.integers(min_value=2, max_value=200).flatmap(
+            lambda r: st.tuples(st.just(r), st.integers(-3 * r, 3 * r), st.integers(-3 * r, 3 * r))
+        )
+    )
+    @settings(max_examples=300)
+    def test_match_hand_scaled_formulas(self, rab):
+        # each constructor once scaled its own quadratics; the shared
+        # builder must give the same classes
+        r, a, b = rab
+        ctx = ctx_for(r)
+
+        def quad(x):
+            return r * r - 6 * x * r + 6 * x * x
+
+        def lam(x):
+            return Lambda(r if x == 0 else x)
+
+        qa, qb = quad(a), quad(b)
+        # no lambda(a/r) has free coordinate 0, so no pair is degenerate
+        assert qa != 0 and qb != 0
+        u = gcd(qa, qb)
+        assert lambda_difference_torsion(ctx, a, b) == FormalClass.of([(lam(a), qb // u), (lam(b), -(qa // u))])
+        u = gcd(12, qa)
+        assert lambda_kappa_torsion(ctx, a) == FormalClass.of([(lam(a), 12 // u), (Kappa1(1), -(qa // u))])
+        if r % 2 == 0:
+            u = gcd(r * r, 48)
+            assert mu_kappa_torsion(ctx) == FormalClass.of([(MU, 48 // u), (Kappa1(1), r * r // u)])
 
 
 class TestTorsionGenerator:
@@ -247,6 +296,44 @@ class TestPresentation:
         monkeypatch.setattr(cl, "presentation", refuse)
         with pytest.raises(errors.InternalConsistencyError, match="do not generate"):
             default_generators(ctx_for(6))
+
+
+class TestRenderRelation:
+    NAMES = ["lambda", "mu", "kappa1"]
+
+    @pytest.mark.parametrize(
+        "row,expected",
+        [
+            ((-3, 2, 0), "-3*lambda + 2*mu"),
+            ((-1, 1, 0), "-lambda + mu"),
+            ((1, -1, 5), "lambda - mu + 5*kappa1"),
+            ((7, -11, -1), "7*lambda - 11*mu - kappa1"),
+            ((0, 2, -1), "2*mu - kappa1"),
+            ((0, 0, -1), "-kappa1"),
+            ((4, -8, 12), "4(lambda - 2*mu + 3*kappa1)"),
+            ((-6, 0, 9), "3(-2*lambda + 3*kappa1)"),
+            ((0, -24, 0), "24(-mu)"),
+            ((0, 0, 0), "0"),
+        ],
+    )
+    def test_goldens(self, row, expected):
+        assert render_relation(row, self.NAMES) == expected
+
+    def test_compound_names_get_parentheses(self):
+        names = ["2*lambda(1/2) + lambda", "lambda - mu", "3*mu", "kappa1(1/4)"]
+        expected = "(2*lambda(1/2) + lambda) - (lambda - mu) + 2*(3*mu) - kappa1(1/4)"
+        assert render_relation((1, -1, 2, -1), names) == expected
+        assert render_relation((0, -2, 0, 4), names) == "2(-(lambda - mu) + 2*kappa1(1/4))"
+
+    def test_no_relations(self):
+        p = cl.Presentation((single(Lambda(2)),), IntMatrix.from_rows([], cols=1))
+        assert p.render(2) == "<lambda | >"
+        p = cl.Presentation((single(Lambda(1)), single(MU)), IntMatrix.from_rows([], cols=2))
+        assert p.render(2) == "<lambda(1/2), mu | >"
+
+    def test_several_relations(self):
+        p = cl.Presentation((single(Lambda(3)), single(Lambda(1))), IntMatrix.from_rows([[3, 9], [0, -2]]))
+        assert p.render(3) == "<lambda, lambda(1/3) | 3(lambda + 3*lambda(1/3)); 2(-lambda(1/3))>"
 
 
 class TestRationalMultiple:
