@@ -108,13 +108,22 @@ class SmithForm:
 
 
 def _find_pivot(s, t, m, n):
-    """Nonzero entry of minimal |value| in s[t:, t:], earliest wins ties."""
-    best = None
+    """Nonzero entry of minimal |value| in s[t:, t:], earliest wins ties.
+
+    The first entry equal to +-1 is returned at once: no entry is smaller
+    and none before it ties, so the full scan would pick the same one.
+    """
+    best, best_abs = None, 0
     for i in range(t, m):
+        row = s[i]
         for j in range(t, n):
-            x = s[i][j]
-            if x and (best is None or abs(x) < abs(s[best[0]][best[1]])):
-                best = (i, j)
+            x = row[j]
+            if x:
+                a = abs(x)
+                if a == 1:
+                    return (i, j)
+                if best is None or a < best_abs:
+                    best, best_abs = (i, j), a
     return best
 
 
@@ -175,7 +184,8 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                 swap_rows(t, i)
                 swap_cols(t, j)
                 continue
-            bad = next(
+            # every entry is divisible by a unit pivot
+            bad = None if p == 1 else next(
                 ((i, j) for i in range(t + 1, m) for j in range(t + 1, n) if s[i][j] % p),
                 None,
             )
@@ -346,19 +356,140 @@ class HomZN:
 
 
 def kernel_lattice(hom: HomZN) -> IntMatrix:
-    """Hermite basis of the kernel of a map Z^k -> Z + Z/N.
+    """Hermite basis of the kernel K of a map phi: Z^k -> Z + Z/N.
 
-    One Hermite reduction of the rows [f_i, t_i | e_i] and [0, N | 0]
-    (the kernel-by-HNF construction, Cohen, A Course in Computational
-    Algebraic Number Theory, 2.4): the rows that vanish on the first two
-    columns, with those columns dropped, are a basis of the kernel and
-    are already in Hermite form.
+    Written down column by column, with no general Hermite reduction.
+    Lift phi(e_j) to (f_j, t_j) in Z^2; then c is in K exactly when
+    sum c_i (f_i, t_i) lies in Z(0, N). Sweep j = k-1 .. 0 and keep the
+    lattice L_{j+1} = <(f_i, t_i) for i > j, (0, N)> in Z^2 as a 2x2
+    Hermite basis, each basis vector paired with the coefficients over
+    the e_i (i > j) that give it modulo (0, N).
+
+    * Pivots. K has a row with leading column j exactly when some
+      c_j e_j + (terms beyond j) is in K, that is, when c_j (f_j, t_j) is
+      in L_{j+1}. So the pivot d_j is the order of (f_j, t_j) modulo
+      L_{j+1}, and column j has no pivot when that order is infinite.
+      The row is d_j e_j minus the coefficients of the basis combination
+      equal to d_j (f_j, t_j).
+    * Special columns. L_j differs from L_{j+1} only when d_j != 1, so
+      only at those columns does the basis change and gain a coefficient.
+      Every coefficient, and hence every row entry off its own pivot,
+      lies in a special column. L grows in rank at most once. Every
+      other change divides an index by d_j >= 2: that of L in 0 + Z
+      (a divisor of N) while L has rank one, then that of L in Z^2,
+      at most N |f| for the free part f that raised the rank. So there
+      are O(log N + log |f|) special columns.
+    * Reduction. Each new row's entries at the later pivots d_i > 1 are
+      reduced into [0, d_i) by those rows, in ascending column order;
+      at a later pivot d_i = 1 its entry is already 0, as [0, 1) asks.
+
+    A lattice has one Hermite basis (echelon, positive pivots, entries
+    above each pivot in [0, pivot)), so the result is the kernel-by-HNF
+    basis (Cohen, A Course in Computational Algebraic Number Theory,
+    2.4) for every input. The cost is O(k) steps in Z^2 plus the few
+    nonzero entries per row, not the cubic cost of reducing k + 1 rows.
     """
-    k = len(hom.generator_images)
-    rows = [[f, t] + [int(i == j) for j in range(k)] for i, (f, t) in enumerate(hom.generator_images)]
-    rows.append([0, hom.ambient_torsion] + [0] * k)
-    h = hermite_normal_form(rows, k + 2)
-    return IntMatrix.from_rows([h.row(i)[2:] for i in range(h.rows) if not any(h.row(i)[:2])], cols=k)
+    images = hom.generator_images
+    k = len(images)
+    basis = [(0, hom.ambient_torsion, {})]  # (free, torsion, coefficients)
+    rows = {}  # pivot column -> sparse row
+    reducers = []  # special pivot columns with d_j > 1, descending
+    for j in range(k - 1, -1, -1):
+        f, t = images[j]
+        d, combo = _order_mod(f, t, basis)
+        if d:
+            row = {j: d}
+            for x, (_, _, coeffs) in zip(combo, basis):
+                if x:
+                    _axpy(row, -x, coeffs)
+            for c in reversed(reducers):
+                q = row.get(c, 0) // rows[c][c]
+                if q:
+                    _axpy(row, -q, rows[c])
+            rows[j] = row
+        if d != 1:
+            basis = _hermite2(basis + [(f, t, {j: 1})])
+            if d:
+                reducers.append(j)
+    flat = []
+    for j in sorted(rows):
+        dense = [0] * k
+        for c, x in rows[j].items():
+            dense[c] = x
+        flat.extend(dense)
+    return IntMatrix(len(rows), k, tuple(flat))
+
+
+def _axpy(acc: dict, a: int, x: dict) -> None:
+    """acc += a * x for sparse vectors, dropping zero entries."""
+    for c, v in x.items():
+        s = acc.get(c, 0) + a * v
+        if s:
+            acc[c] = s
+        else:
+            acc.pop(c, None)
+
+
+def _order_mod(f: int, t: int, basis: list):
+    """(d, combo): the least d > 0 with d (f, t) in the lattice of the
+    Hermite basis, and combo with d (f, t) = sum combo_i basis_i;
+    (0, None) when (f, t) has infinite order modulo it."""
+    if f and not basis[0][0]:
+        return 0, None
+    d, w, combo = 1, (f, t), []
+    for b in basis:
+        col = 0 if b[0] else 1
+        m = b[col] // gcd(w[col], b[col])
+        q = m * w[col] // b[col]
+        d *= m
+        w = (m * w[0] - q * b[0], m * w[1] - q * b[1])
+        combo = [m * x for x in combo] + [q]
+    return d, combo
+
+
+def _hermite2(vectors: list) -> list:
+    """Hermite basis of the lattice in Z^2 spanned by (free, torsion,
+    coefficients) vectors, by unimodular 2x2 steps, so each basis vector
+    keeps the coefficients that give it."""
+    basis = []
+    for col in (0, 1):
+        live = [v for v in vectors if v[col]]
+        vectors = [v for v in vectors if not v[col]]
+        if not live:
+            continue
+        piv = live[0]
+        for v in live[1:]:
+            g, x, y = ext_gcd(piv[col], v[col])
+            a, b = piv[col] // g, v[col] // g
+            piv, zero = _combine(x, piv, y, v), _combine(b, piv, -a, v)
+            vectors.append(zero)
+        basis.append(_combine(-1, piv, 0, piv) if piv[col] < 0 else piv)
+    if len(basis) == 2:
+        basis[0] = _combine(1, basis[0], -(basis[0][1] // basis[1][1]), basis[1])
+    return basis
+
+
+def _combine(p: int, v: tuple, q: int, w: tuple) -> tuple:
+    """p v + q w for (free, torsion, coefficients) vectors."""
+    coeffs = {}
+    _axpy(coeffs, p, v[2])
+    _axpy(coeffs, q, w[2])
+    return (p * v[0] + q * w[0], p * v[1] + q * w[1], coeffs)
+
+
+def ext_gcd(a: int, b: int):
+    """(g, x, y) with g = a*x + b*y, g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
 
 
 @dataclass(frozen=True)

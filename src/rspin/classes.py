@@ -8,6 +8,7 @@ generators, and generator/relation presentations.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -18,7 +19,9 @@ from .abelian import (
     FgAbGroup,
     HomZN,
     IntMatrix,
+    SubgroupInfo,
     element_order,
+    ext_gcd,
     group_from_presentation,
     kernel_lattice,
     subgroup_info,
@@ -306,13 +309,13 @@ def generator_lift(ctx: ModuliContext) -> FormalClass:
     """A fixed integral class with free coordinate +1.
 
     Well-defined only up to torsion; fixed as the extended gcd
-    (g, combo) <- _ext_gcd(g, v) run over the free coordinates v of
+    (g, combo) <- ext_gcd(g, v) run over the free coordinates v of
     default_symbols(r), in order, so coordinates are stable across runs.
     Only the symbols whose step changes (g, combo) are stepped, by two
     facts about v(a) = u(r^2 - 6ar + 6a^2)/12, the free coordinate of
     lambda(a/r):
 
-    (i) for g > 0 dividing v, _ext_gcd(g, v) = (g, 1, 0), a no-op, unless
+    (i) for g > 0 dividing v, ext_gcd(g, v) = (g, 1, 0), a no-op, unless
         v is g, -g or -2g (then it is (g, 0, 1), (g, 0, -1), (g, -1, -1));
     (ii) g = gcd(v(0), v(1)) divides every v(a). A prime p >= 5 dividing
         both would divide r^2 and r - 1. 3 does not divide v(0) = ur^2/12
@@ -330,7 +333,7 @@ def generator_lift(ctx: ModuliContext) -> FormalClass:
 
     def step(sym):
         nonlocal g, combo
-        g, x, y = _ext_gcd(g, _symbol_free(ctx, sym))
+        g, x, y = ext_gcd(g, _symbol_free(ctx, sym))
         combo = x * combo + y * FormalClass.single(sym)
 
     step(Lambda(0))
@@ -366,21 +369,6 @@ def _lambda_roots(ctx: ModuliContext, values: Sequence[int], lo: int, hi: int) -
             if not rem and lo <= a < hi:
                 roots.add(a)
     return sorted(roots)
-
-
-def _ext_gcd(a: int, b: int):
-    """(g, x, y) with g = a*x + b*y, g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 @dataclass(frozen=True)
@@ -441,9 +429,14 @@ def _torsion_pair(ctx: ModuliContext, s: ClassSymbol, t: ClassSymbol) -> FormalC
     whose roots a = r(3 +- sqrt 3)/6 are irrational for r >= 2.
     """
     v, w = _symbol_free(ctx, s), _symbol_free(ctx, t)
+    # after _symbol_free, so mu at odd r still raises MuUndefinedError first
+    ctx.require_h2_range()
     g = gcd(v, w)
     out = FormalClass.of([(s, w // g), (t, -(v // g))])
-    assert free_coordinate(ctx, out) == 0
+    if free_coordinate(ctx, out):
+        raise errors.InternalConsistencyError(
+            f"torsion pair {render_class(out, ctx.r)} has nonzero free coordinate"
+        )
     return out
 
 
@@ -525,14 +518,20 @@ def presentation(ctx: ModuliContext, generators: Sequence[FormalClass]) -> Prese
     """Relations between classes that generate all of H^2."""
     gens = tuple(generators)
     hom = coords_hom(ctx, gens)
+    # index 1: the group is all of H^2, Z + Z/N
+    return kernel_presentation(gens, hom, require_generating(ctx, hom).group)
+
+
+def require_generating(ctx: ModuliContext, hom: HomZN) -> SubgroupInfo:
+    """The subgroup of H^2 that the classes with coordinate map hom
+    generate; NonGeneratingError unless it is all of H^2."""
     info = subgroup_info(ctx.torsion_order, hom.generator_images)
     if info.index != 1:
         idx = "infinite" if info.index is None else info.index
         raise errors.NonGeneratingError(
             f"classes only generate a subgroup of index {idx} in H^2", index=info.index
         )
-    # index 1: info.group is all of H^2, Z + Z/N
-    return kernel_presentation(gens, hom, info.group)
+    return info
 
 
 def kernel_presentation(gens: tuple, hom: HomZN, group: FgAbGroup) -> Presentation:
@@ -546,29 +545,43 @@ def kernel_presentation(gens: tuple, hom: HomZN, group: FgAbGroup) -> Presentati
 
 
 def default_presentation(ctx: ModuliContext) -> Presentation:
-    """The presentation of H^2 on the fixed generating pair for the
-    residue of r: (lambda, lambda(1/r)) for r odd, (lambda(2/r), mu) for
-    r = 2 mod 4, and (mu, lambda(1/r)) for r = 0 mod 4.
+    """The presentation of H^2 on the fixed generating pair (see
+    default_generators)."""
+    with _fixed_pair_generates(ctx.r):
+        return presentation(ctx, _fixed_pair(ctx.r))
+
+
+def default_generators(ctx: ModuliContext) -> tuple:
+    """The fixed generating pair of H^2 for the residue of r:
+    (lambda, lambda(1/r)) for r odd, (lambda(2/r), mu) for r = 2 mod 4,
+    and (mu, lambda(1/r)) for r = 0 mod 4.
 
     Each pair has coprime free coordinates, and its phi-determinant
-    d1*phi2 - d2*phi1 is 24/N times a unit mod N, so it generates.
-    presentation checks this; a pair that fails is an internal error.
+    d1*phi2 - d2*phi1 is 24/N times a unit mod N, so it generates. One
+    index test checks this; a pair that fails is an internal error.
     """
-    r = ctx.r
+    gens = _fixed_pair(ctx.r)
+    with _fixed_pair_generates(ctx.r):
+        require_generating(ctx, coords_hom(ctx, gens))
+    return gens
+
+
+def _fixed_pair(r: int) -> tuple:
     if r % 2:
         syms = (Lambda(r), Lambda(1))
     elif r % 4 == 2:
         syms = (Lambda(2), MU)
     else:
         syms = (MU, Lambda(1))
+    return tuple(FormalClass.single(s) for s in syms)
+
+
+@contextmanager
+def _fixed_pair_generates(r: int):
+    """Report the fixed pair failing to generate as an internal error."""
     try:
-        return presentation(ctx, tuple(FormalClass.single(s) for s in syms))
+        yield
     except errors.NonGeneratingError as e:
         raise errors.InternalConsistencyError(
             f"the fixed generators at r = {r} do not generate H^2: {e}"
         ) from e
-
-
-def default_generators(ctx: ModuliContext) -> tuple:
-    """The fixed generating pair of H^2 (see default_presentation)."""
-    return default_presentation(ctx).generators

@@ -180,8 +180,11 @@ def h2_theta_subgroup(ctx: ModuliContext, generators: Optional[Sequence[FormalCl
     generating classes of the ambient H^2."""
     ctx.require_nonempty()
     ctx.require_h2_range()
-    # presentation raises if supplied generators do not generate
-    gens = cl.default_generators(ctx) if generators is None else cl.presentation(ctx, generators).generators
+    if generators is None:
+        gens = cl.default_generators(ctx)
+    else:
+        gens = tuple(generators)
+        cl.require_generating(ctx, cl.coords_hom(ctx, gens))
     evals = [eval_on_fiber(ctx, x).value for x in gens]
     coeff_rows = kernel_lattice(HomZN(ctx.r, tuple((0, e) for e in evals)))
     sub_gens = tuple(

@@ -2,11 +2,13 @@
 kernels and subgroups checked against brute-force oracles."""
 
 import itertools
+import random
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rspin import abelian
 from rspin.abelian import (
     FgAbGroup,
     HomZN,
@@ -88,6 +90,78 @@ class TestSmithNormalForm:
         s1, s2 = smith_normal_form(a), smith_normal_form(a)
         assert s1.u.to_rows() == s2.u.to_rows()
         assert s1.v.to_rows() == s2.v.to_rows()
+
+    def test_pinned_witnesses(self):
+        # +-1 entries behind a larger one in the first row, and the
+        # non-unit pivot chain 1 | 2 | 6 | 12; U, S and V as computed by
+        # the full minimal-|value| scan with a divisibility check at
+        # every pivot, before either exit for unit pivots
+        a = IntMatrix.from_rows(
+            [
+                [-6, 1, 1, 3, 2, 0],
+                [12, -2, -2, -6, 8, 0],
+                [-2, 1, 1, 1, -12, 0],
+                [-6, 6, -6, 0, 0, -6],
+                [-2, 6, -6, -2, -2, -6],
+            ]
+        )
+        s = smith_normal_form(a)
+        assert s.s.to_rows() == [
+            [1, 0, 0, 0, 0, 0],
+            [0, 2, 0, 0, 0, 0],
+            [0, 0, 6, 0, 0, 0],
+            [0, 0, 0, 12, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+        ]
+        assert s.u.to_rows() == [
+            [1, 0, 0, 0, 0],
+            [1, 0, -1, 0, 0],
+            [-3, 0, 9, -1, 0],
+            [2, 1, 0, 0, 0],
+            [-1, -1, -1, -1, 1],
+        ]
+        assert s.v.to_rows() == [
+            [0, 0, 1, 19, -2, -1],
+            [1, -3, 0, 19, -1, 0],
+            [0, 0, 0, 0, 1, 0],
+            [0, 1, 2, 31, -4, -2],
+            [0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 1],
+        ]
+
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.sampled_from([1, 1, 1, 2, 3, 4, 6, 12]), min_size=n, max_size=n),
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=0, max_value=n - 1),
+                        st.integers(min_value=0, max_value=n),
+                        st.integers(min_value=-30, max_value=30),
+                    ),
+                    max_size=2 * n,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_laws_sparse_near_identity(self, case):
+        # the shape of kernel relations: mostly unit pivots on an n x (n+1)
+        # diagonal, a few larger ones, and a few scattered entries
+        n, diag, extra = case
+        rows = [[diag[i] if i == j else 0 for j in range(n + 1)] for i in range(n)]
+        for i, j, x in extra:
+            rows[i][j] += x
+        a = IntMatrix.from_rows(rows, cols=n + 1)
+        s = smith_normal_form(a)
+        assert (s.u @ a @ s.v).to_rows() == s.s.to_rows()
+        assert s.u.det() in (1, -1)
+        assert s.v.det() in (1, -1)
+        d = list(s.s.diagonal())
+        assert all(x >= 0 for x in d)
+        for x, y in zip(d, d[1:]):
+            assert y == 0 or (x != 0 and y % x == 0)
 
 
 class TestGroupFromPresentation:
@@ -212,6 +286,45 @@ class TestSubgroupInfo:
                 assert info.contains((f, t)) == ((f, t) in oracle)
 
 
+def _hermite_kernel(hom: HomZN) -> IntMatrix:
+    """The kernel by one general Hermite reduction (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4): reduce the rows
+    [f_i, t_i | e_i] and [0, N | 0]; the rows that vanish on the first
+    two columns, with those columns dropped, are the kernel's Hermite
+    basis. Cubic in k."""
+    k = len(hom.generator_images)
+    rows = [[f, t] + [int(i == j) for j in range(k)] for i, (f, t) in enumerate(hom.generator_images)]
+    rows.append([0, hom.ambient_torsion] + [0] * k)
+    h = hermite_normal_form(rows, k + 2)
+    return IntMatrix.from_rows([h.row(i)[2:] for i in range(h.rows) if not any(h.row(i)[:2])], cols=k)
+
+
+@st.composite
+def kernel_maps(draw, max_k=60):
+    """Maps Z^k -> Z + Z/N: N | 24 with free parts all zero, in {-1, 0, 1},
+    small, or near 10^6; or a modulus up to 10^12 with zero free parts
+    (the shape of the theta subgroup's evaluation map)."""
+    k = draw(st.integers(min_value=0, max_value=max_k))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=10**12))
+        free = st.just(0)
+    else:
+        n = draw(divisors_of_24)
+        near_million = st.integers(min_value=10**6 - 3, max_value=10**6 + 3)
+        free = draw(
+            st.sampled_from(
+                [
+                    st.just(0),
+                    st.sampled_from([-1, 0, 1]),
+                    st.integers(min_value=-6, max_value=6),
+                    st.one_of(near_million, near_million.map(lambda x: -x), st.just(0)),
+                ]
+            )
+        )
+    images = draw(st.lists(st.tuples(free, st.integers(min_value=0, max_value=n - 1)), min_size=k, max_size=k))
+    return HomZN(n, tuple(images))
+
+
 class TestKernelLattice:
     def test_injective(self):
         k = kernel_lattice(HomZN(1, ((1, 0),)))
@@ -274,6 +387,36 @@ class TestKernelLattice:
         sf = smith_normal_form(a)
         ker = [sf.u.row(i)[:k] for i in range(a.rows) if not any(sf.s.row(i))]
         assert kernel_lattice(hom).to_rows() == hermite_normal_form(ker, k).to_rows()
+
+    @given(kernel_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_vs_hermite_oracle(self, hom):
+        assert kernel_lattice(hom) == _hermite_kernel(hom)
+
+    def test_no_general_hermite(self, monkeypatch):
+        def refuse(rows, cols):
+            raise AssertionError("kernel_lattice ran a general Hermite reduction")
+
+        monkeypatch.setattr(abelian, "hermite_normal_form", refuse)
+        rng = random.Random(2000)
+        k, n = 2000, 24
+        images = tuple((rng.randint(-3, 3), rng.randrange(n)) for _ in range(k))
+        ker = kernel_lattice(HomZN(n, images))
+        # rank k - 1 (the free parts are not all zero), every row in the
+        # kernel, and Hermite shape: increasing pivots, each positive with
+        # the entries above it in [0, pivot)
+        assert (ker.rows, ker.cols) == (k - 1, k)
+        pivots = []
+        for i in range(ker.rows):
+            row = ker.row(i)
+            assert sum(c * f for c, (f, _) in zip(row, images)) == 0
+            assert sum(c * t for c, (_, t) in zip(row, images)) % n == 0
+            p = next(j for j, x in enumerate(row) if x)
+            assert row[p] > 0 and (not pivots or p > pivots[-1])
+            pivots.append(p)
+        for i, p in enumerate(pivots):
+            column = ker.entries[p :: ker.cols]
+            assert all(0 <= x < column[i] for x in column[:i])
 
 
 class TestHermite:

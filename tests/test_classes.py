@@ -1,8 +1,14 @@
 """Coordinates, detection values, torsion classes, and presentations of
 the degree-two class lattice."""
 
+import ast
+import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +200,12 @@ class TestTorsionClasses:
         assert free_coordinate(ctx, t) == 0
 
 
+    def test_pair_below_h2_range_rejected(self):
+        with pytest.raises(errors.StableRangeError):
+            lambda_difference_torsion(ModuliContext(3, 4), 1, 0)
+        with pytest.raises(errors.StableRangeError):
+            mu_kappa_torsion(ModuliContext(4, 5, 0))
+
     @given(
         st.integers(min_value=2, max_value=200).flatmap(
             lambda r: st.tuples(st.just(r), st.integers(-3 * r, 3 * r), st.integers(-3 * r, 3 * r))
@@ -222,6 +234,36 @@ class TestTorsionClasses:
         if r % 2 == 0:
             u = gcd(r * r, 48)
             assert mu_kappa_torsion(ctx) == FormalClass.of([(MU, 48 // u), (Kappa1(1), r * r // u)])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestGuardsWithoutAssert:
+    """Guards must hold under python -O, which strips assert statements."""
+
+    def test_pair_guard_under_optimize(self):
+        code = (
+            "from rspin import errors\n"
+            "from rspin.classes import ModuliContext, lambda_difference_torsion\n"
+            "try:\n"
+            "    lambda_difference_torsion(ModuliContext(3, 4), 1, 0)\n"
+            "except errors.StableRangeError:\n"
+            "    print('rejected')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "rejected\n"
+
+    def test_no_assert_statements_in_src(self):
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted((SRC / "rspin").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestTorsionGenerator:
@@ -290,12 +332,19 @@ class TestPresentation:
         assert len(gens) == 2 and presentation(ctx, gens).generators == gens
 
     def test_non_generating_pair_is_internal_error(self, monkeypatch):
-        def refuse(ctx, gens):
-            raise errors.NonGeneratingError("index 2", index=2)
+        real = cl.subgroup_info
 
-        monkeypatch.setattr(cl, "presentation", refuse)
-        with pytest.raises(errors.InternalConsistencyError, match="do not generate"):
-            default_generators(ctx_for(6))
+        def index_two(n, gens):
+            return dataclasses.replace(real(n, gens), index=2)
+
+        monkeypatch.setattr(cl, "subgroup_info", index_two)
+        for build in (default_generators, cl.default_presentation):
+            with pytest.raises(errors.InternalConsistencyError) as exc:
+                build(ctx_for(6))
+            assert str(exc.value) == (
+                "the fixed generators at r = 6 do not generate H^2: "
+                "classes only generate a subgroup of index 2 in H^2"
+            )
 
 
 class TestRenderRelation:
@@ -400,7 +449,7 @@ def _scan_lift(ctx):
     every symbol of default_symbols(r), in order."""
     g, combo = 0, FormalClass.zero()
     for sym in default_symbols(ctx.r):
-        g, x, y = cl._ext_gcd(g, cl._symbol_free(ctx, sym))
+        g, x, y = cl.ext_gcd(g, cl._symbol_free(ctx, sym))
         combo = x * combo + y * single(sym)
     assert g == 1
     return combo
@@ -445,7 +494,7 @@ class TestGeneratorLift:
         special = {1: (0, 1), -1: (0, -1), -2: (-1, -1)}
         for g in range(1, 30):
             for k in range(-40, 41):
-                assert cl._ext_gcd(g, k * g) == (g, *special.get(k, (1, 0)))
+                assert cl.ext_gcd(g, k * g) == (g, *special.get(k, (1, 0)))
 
     @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=-100, max_value=10**6),
            st.integers(min_value=1, max_value=30))

@@ -256,14 +256,16 @@ class TestOnePresentationPerQuery:
         ],
     )
     def test_presentation_runs_once(self, capsys, monkeypatch, argv):
+        # every Presentation is built by kernel_presentation: report's by
+        # presentation on the fixed pair, theta's for the subgroup only
         calls = []
-        real = cl.presentation
+        real = cl.kernel_presentation
 
-        def counting(ctx, gens):
-            calls.append(ctx.r)
-            return real(ctx, gens)
+        def counting(gens, hom, group):
+            calls.append(len(gens))
+            return real(gens, hom, group)
 
-        monkeypatch.setattr(cl, "presentation", counting)
+        monkeypatch.setattr(cl, "kernel_presentation", counting)
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert len(calls) == 1

@@ -239,3 +239,47 @@ class TestH2ThetaSubgroup:
             for x in default_generators(ctx):
                 d = gcd(d, eval_on_fiber(ctx, x).value)
             assert sub.index == r // d
+
+    def test_supplied_generators_must_generate(self):
+        ctx = ModuliContext(2, 9, 1)
+        with pytest.raises(errors.NonGeneratingError) as exc:
+            h2_theta_subgroup(ctx, [FormalClass.single(Lambda(2)), FormalClass.single(MU, 2)])
+        assert exc.value.index == 2
+        whole = [FormalClass.single(Lambda(2)), FormalClass.single(MU)]
+        assert h2_theta_subgroup(ctx, whole) == h2_theta_subgroup(ctx)
+
+
+class TestThetaWork:
+    """Calls into the abelian layer per query, counted by wrapping each
+    function at every module that binds it."""
+
+    @staticmethod
+    def _count(monkeypatch, query):
+        from rspin import abelian, classes, twists
+
+        calls = {}
+        for name in ("kernel_lattice", "smith_normal_form", "subgroup_info"):
+            real = getattr(abelian, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+
+            for mod in (abelian, classes, twists):
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, counting)
+        query()
+        return calls
+
+    def test_theta_subgroup(self, monkeypatch):
+        # the fixed pair is checked by one index test, not presented
+        ctx = ModuliContext(12, 13, 0)
+        calls = self._count(monkeypatch, lambda: h2_theta_subgroup(ctx))
+        assert calls == {"kernel_lattice": 2, "smith_normal_form": 1, "subgroup_info": 2}
+
+    def test_report_presentation(self, monkeypatch):
+        from rspin.topology import picard_report
+
+        ctx = ModuliContext(12, 13, 0)
+        calls = self._count(monkeypatch, lambda: picard_report(ctx))
+        assert calls == {"kernel_lattice": 1, "smith_normal_form": 1, "subgroup_info": 1}
