@@ -209,7 +209,8 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
 
 def hermite_normal_form(rows: Iterable[Sequence[int]], cols: int) -> IntMatrix:
     """Row-style Hermite form: echelon basis, positive pivots, entries
-    above each pivot reduced into [0, pivot)."""
+    above each pivot reduced into [0, pivot). The general reference that
+    the tests and bench/tracer.py use."""
     work = [list(map(int, r)) for r in rows if any(r)]
     basis = []
     for c in range(cols):
@@ -235,26 +236,6 @@ def hermite_normal_form(rows: Iterable[Sequence[int]], cols: int) -> IntMatrix:
                     b[j] -= q * pivot[j]
         basis.append(pivot)
     return IntMatrix.from_rows(basis, cols=cols)
-
-
-def solve_in_lattice(basis: IntMatrix, target: Sequence[int]) -> Optional[list]:
-    """Coefficients c with c @ basis == target, or None if target is not
-    in the row lattice.  basis must be in Hermite form."""
-    v = list(map(int, target))
-    if len(v) != basis.cols:
-        raise ValueError("dimension mismatch")
-    coeffs = []
-    for i in range(basis.rows):
-        row = basis.row(i)
-        pc = next(j for j, x in enumerate(row) if x)
-        if v[pc] % row[pc]:
-            return None
-        q = v[pc] // row[pc]
-        v = [x - q * y for x, y in zip(v, row)]
-        coeffs.append(q)
-    if any(v):
-        return None
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +414,8 @@ def _axpy(acc: dict, a: int, x: dict) -> None:
 def _order_mod(f: int, t: int, basis: list):
     """(d, combo): the least d > 0 with d (f, t) in the lattice of the
     Hermite basis, and combo with d (f, t) = sum combo_i basis_i;
-    (0, None) when (f, t) has infinite order modulo it."""
+    (0, None) when (f, t) has infinite order modulo it. Only b[0] and b[1]
+    are read. d == 1 is membership, as SubgroupInfo.contains uses it."""
     if f and not basis[0][0]:
         return 0, None
     d, w, combo = 1, (f, t), []
@@ -497,7 +479,8 @@ class SubgroupInfo:
     """A subgroup of Z + Z/N: structure, index, and a membership basis.
 
     The basis is the Hermite form of the lift of the subgroup to Z^2
-    (it always contains (0, N)), so membership is a triangular solve.
+    (it always contains (0, N)), so an element is a member exactly when
+    its order modulo that 2x2 basis is 1 (_order_mod).
     """
 
     ambient_torsion: int
@@ -507,7 +490,7 @@ class SubgroupInfo:
 
     def contains(self, element) -> bool:
         free, tors = element
-        return solve_in_lattice(self.basis, (free, tors % self.ambient_torsion)) is not None
+        return _order_mod(free, tors % self.ambient_torsion, self.basis.to_rows())[0] == 1
 
 
 def subgroup_info(ambient_torsion: int, generators: Iterable) -> SubgroupInfo:

@@ -8,7 +8,6 @@ generators, and generator/relation presentations.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -80,9 +79,6 @@ class FormalClass:
     @classmethod
     def single(cls, sym: ClassSymbol, coeff: int = 1) -> "FormalClass":
         return cls.of([(sym, coeff)])
-
-    def coeff(self, sym: ClassSymbol) -> int:
-        return dict(self.terms).get(sym, 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -547,8 +543,8 @@ def kernel_presentation(gens: tuple, hom: HomZN, group: FgAbGroup) -> Presentati
 def default_presentation(ctx: ModuliContext) -> Presentation:
     """The presentation of H^2 on the fixed generating pair (see
     default_generators)."""
-    with _fixed_pair_generates(ctx.r):
-        return presentation(ctx, _fixed_pair(ctx.r))
+    gens, hom, info = _fixed_pair(ctx)
+    return kernel_presentation(gens, hom, info.group)
 
 
 def default_generators(ctx: ModuliContext) -> tuple:
@@ -560,28 +556,25 @@ def default_generators(ctx: ModuliContext) -> tuple:
     d1*phi2 - d2*phi1 is 24/N times a unit mod N, so it generates. One
     index test checks this; a pair that fails is an internal error.
     """
-    gens = _fixed_pair(ctx.r)
-    with _fixed_pair_generates(ctx.r):
-        require_generating(ctx, coords_hom(ctx, gens))
-    return gens
+    return _fixed_pair(ctx)[0]
 
 
-def _fixed_pair(r: int) -> tuple:
+def _fixed_pair(ctx: ModuliContext) -> tuple:
+    """(gens, hom, info) for the fixed pair, its coordinate map and the
+    subgroup it generates, checked to be all of H^2."""
+    r = ctx.r
     if r % 2:
         syms = (Lambda(r), Lambda(1))
     elif r % 4 == 2:
         syms = (Lambda(2), MU)
     else:
         syms = (MU, Lambda(1))
-    return tuple(FormalClass.single(s) for s in syms)
-
-
-@contextmanager
-def _fixed_pair_generates(r: int):
-    """Report the fixed pair failing to generate as an internal error."""
+    gens = tuple(FormalClass.single(s) for s in syms)
+    hom = coords_hom(ctx, gens)
     try:
-        yield
+        info = require_generating(ctx, hom)
     except errors.NonGeneratingError as e:
         raise errors.InternalConsistencyError(
             f"the fixed generators at r = {r} do not generate H^2: {e}"
         ) from e
+    return gens, hom, info

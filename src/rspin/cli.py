@@ -299,7 +299,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; the interpreter's own flush at
+        # exit would fail again, so later writes go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

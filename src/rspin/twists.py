@@ -65,22 +65,11 @@ def twist_class(tw: TwistInput, x: FormalClass):
     return per_term, total
 
 
-@dataclass(frozen=True)
-class EvalOnFiber:
-    """Value of a class on the B(Z/r) fiber, as a multiple of beta(x)."""
-
-    modulus: int
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-
-def eval_on_fiber(ctx: ModuliContext, x: FormalClass) -> EvalOnFiber:
+def eval_on_fiber(ctx: ModuliContext, x: FormalClass) -> int:
     """Restriction of a degree-two class to the fiber of the gerbe
-    relating the two moduli spaces; a map onto a subgroup of Z/r."""
-    total = sum(c * v for _, c, v in _fiber_terms(ctx, x, ctx.eps))
-    return EvalOnFiber(ctx.r, total % ctx.r)
+    relating the two moduli spaces, as a multiple of beta(x): a residue
+    in [0, r). The map is onto a subgroup of Z/r."""
+    return sum(c * v for _, c, v in _fiber_terms(ctx, x, ctx.eps)) % ctx.r
 
 
 @dataclass(frozen=True)
@@ -128,7 +117,7 @@ def tors_map_image(ctx: ModuliContext) -> ZrSubgroup:
         direct = ZrSubgroup(r, r)
     else:
         t = cl.torsion_generator(ctx)
-        direct = ZrSubgroup.generated_by(r, eval_on_fiber(ctx, t).value)
+        direct = ZrSubgroup.generated_by(r, eval_on_fiber(ctx, t))
     if closed != direct:
         raise errors.InternalConsistencyError(
             f"fiber image of the torsion subgroup at (r={r}, g={g}, eps={eps}): "
@@ -185,7 +174,7 @@ def h2_theta_subgroup(ctx: ModuliContext, generators: Optional[Sequence[FormalCl
     else:
         gens = tuple(generators)
         cl.require_generating(ctx, cl.coords_hom(ctx, gens))
-    evals = [eval_on_fiber(ctx, x).value for x in gens]
+    evals = [eval_on_fiber(ctx, x) for x in gens]
     coeff_rows = kernel_lattice(HomZN(ctx.r, tuple((0, e) for e in evals)))
     sub_gens = tuple(
         sum((c * x for c, x in zip(row, gens)), FormalClass.zero()) for row in coeff_rows.to_rows()

@@ -18,7 +18,6 @@ from rspin.abelian import (
     hermite_normal_form,
     kernel_lattice,
     smith_normal_form,
-    solve_in_lattice,
     subgroup_info,
 )
 
@@ -245,7 +244,8 @@ class TestSubgroupInfo:
     def test_group_vs_smith_of_relation(self, n, gens):
         # the subgroup is the cokernel of the one relation expressing (0, N)
         info = subgroup_info(n, gens)
-        coeffs = solve_in_lattice(info.basis, (0, n))
+        # (0, N) is N/h times the last basis row (0, h)
+        coeffs = [0] * (info.basis.rows - 1) + [n // info.basis.at(info.basis.rows - 1, 1)]
         relation = IntMatrix.from_rows([coeffs], cols=info.basis.rows)
         assert info.group == group_from_presentation(info.basis.rows, relation)
 
@@ -284,6 +284,28 @@ class TestSubgroupInfo:
         for f in range(-f_bound, f_bound + 1):
             for t in range(n):
                 assert info.contains((f, t)) == ((f, t) in oracle)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_membership_vs_hermite_reference(self, data):
+        # far outside the boxes above: x is a combination of the generators
+        # with coefficients up to 10^6, shifted by a small step or not
+        n = data.draw(st.one_of(divisors_of_24, st.integers(min_value=1, max_value=10**12)))
+        gens = data.draw(
+            st.lists(st.tuples(st.integers(min_value=-(10**9), max_value=10**9), st.integers(0, n - 1)), max_size=4)
+        )
+        info = subgroup_info(n, gens)
+        coeffs = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=len(gens), max_size=len(gens)))
+        step = data.draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (-1, 3)]))
+        wrap = data.draw(st.integers(-(10**6), 10**6)) * n
+        x = (
+            sum(c * f for c, (f, _) in zip(coeffs, gens)) + step[0],
+            sum(c * t for c, (_, t) in zip(coeffs, gens)) + step[1] + wrap,
+        )
+        reference = hermite_normal_form(info.basis.to_rows() + [list(x)], 2) == info.basis
+        assert info.contains(x) == reference
+        if step == (0, 0):
+            assert reference
 
 
 def _hermite_kernel(hom: HomZN) -> IntMatrix:
@@ -350,7 +372,7 @@ class TestKernelLattice:
         nonzero = [s for s in sols if s != (0, 0)]
         assert min(abs(a) for a, b in nonzero) == 4
         for s in sols:
-            assert solve_in_lattice(k, list(s)) is not None
+            assert hermite_normal_form(k.to_rows() + [list(s)], k.cols) == k
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -374,7 +396,7 @@ class TestKernelLattice:
             assert maps_to_zero(k.row(i))
         for coeffs in itertools.product(*[range(-5, 6)] * len(images)):
             if maps_to_zero(coeffs):
-                assert solve_in_lattice(k, list(coeffs)) is not None
+                assert hermite_normal_form(k.to_rows() + [list(coeffs)], k.cols) == k
 
     @given(divisors_of_24, st.lists(st.tuples(small_entries, st.integers(min_value=0, max_value=23)), max_size=12))
     @settings(max_examples=80, deadline=None)

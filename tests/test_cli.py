@@ -2,6 +2,10 @@
 and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -434,3 +438,22 @@ class TestUsage:
             cli.main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_0(self):
+        # as in `rspin table ... | head -2`: the 340 kB table outgrows the
+        # pipe buffer, so the CLI is still writing when the reader leaves
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "rspin.cli", "table", "--r-min", "2", "--r-max", "3000"]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.read(100)
+        proc.stdout.close()
+        try:
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert (code, err) == (0, b"")

@@ -105,17 +105,27 @@ class TestEvalOnFiber:
     def test_lambda_only_zero(self):
         ctx = ctx_for(6, eps=1)
         x = FormalClass.of([(Lambda(2), 5), (Lambda(-3), 7)])
-        assert eval_on_fiber(ctx, x).value == 0
+        assert eval_on_fiber(ctx, x) == 0
 
     def test_mu_r2(self):
-        assert eval_on_fiber(ModuliContext(2, 9, 1), FormalClass.single(MU)).value == 1
+        assert eval_on_fiber(ModuliContext(2, 9, 1), FormalClass.single(MU)) == 1
 
     def test_zero_class(self):
-        assert eval_on_fiber(ctx_for(5), FormalClass.zero()).value == 0
+        assert eval_on_fiber(ctx_for(5), FormalClass.zero()) == 0
 
     def test_kappa(self):
         ctx = ModuliContext(4, 9, 0)  # chi/r = -4
-        assert eval_on_fiber(ctx, FormalClass.single(Kappa1(1))).value == (2 * -4) % 4
+        assert eval_on_fiber(ctx, FormalClass.single(Kappa1(1))) == (2 * -4) % 4
+
+    def test_residue_for_every_named_class(self):
+        for r in range(2, 61):
+            syms = [Lambda(a) for a in range(r + 1)] + [Kappa1(a) for a in range(r + 1)]
+            for eps in (None,) if r % 2 else (0, 1):
+                ctx = ctx_for(r, eps=eps)
+                for sym in syms + ([MU] if r % 2 == 0 else []):
+                    for c in (1, -1):
+                        v = eval_on_fiber(ctx, FormalClass.single(sym, c))
+                        assert type(v) is int and 0 <= v < r, (r, eps, sym, c, v)
 
 
 class TestTorsMapImage:
@@ -140,7 +150,7 @@ class TestTorsMapImage:
             for eps in (0, 1):
                 ctx = ModuliContext(r, g, eps)
                 img = tors_map_image(ctx)
-                direct = eval_on_fiber(ctx, torsion_generator(ctx)).value
+                direct = eval_on_fiber(ctx, torsion_generator(ctx))
                 assert img == ZrSubgroup.generated_by(r, direct)
 
     def test_image_times_kernel_is_n(self):
@@ -237,7 +247,7 @@ class TestH2ThetaSubgroup:
             # evaluations of any generating set
             d = r
             for x in default_generators(ctx):
-                d = gcd(d, eval_on_fiber(ctx, x).value)
+                d = gcd(d, eval_on_fiber(ctx, x))
             assert sub.index == r // d
 
     def test_supplied_generators_must_generate(self):
