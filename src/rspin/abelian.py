@@ -9,6 +9,8 @@ no overflow.  All values are immutable and all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
@@ -66,30 +68,6 @@ class IntMatrix:
                 flat.append(sum(r[k] * other.at(k, j) for k in range(self.cols)))
         return IntMatrix(self.rows, other.cols, tuple(flat))
 
-    def det(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-                if swap is None:
-                    return 0
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def diagonal(self) -> tuple:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
@@ -130,32 +108,42 @@ def _find_pivot(s, t, m, n):
 def smith_normal_form(a: IntMatrix) -> SmithForm:
     """Diagonalize over Z, tracking the unimodular transformations.
 
+    The witnesses ride along as passengers of one elimination
+    (_diagonalize): each row of A carries its row of I_m on the right,
+    which ends as U, and I_n below A ends as V. That is [[A, I_m],
+    [I_n, 0]] without its zero corner, which no operation reads.
     Pivoting always selects the nonzero entry of minimal absolute value,
-    earliest position on ties, so the witnesses U and V are deterministic.
+    earliest position on ties, so U and V are deterministic.
     """
     m, n = a.rows, a.cols
-    s = a.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
+    s = [list(a.row(i)) + [int(i == j) for j in range(m)] for i in range(m)]
+    s += [[int(i == j) for j in range(n)] for i in range(n)]
+    _diagonalize(s, m, n)
+    return SmithForm(
+        IntMatrix.from_rows([row[:n] for row in s[:m]], cols=n),
+        IntMatrix.from_rows([row[n:] for row in s[:m]], cols=m),
+        IntMatrix.from_rows(s[m:], cols=n),
+    )
 
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
+
+def _diagonalize(s: list, m: int, n: int) -> None:
+    """Bring the leading m x n block of the rows s to Smith form in place.
+
+    Only that block is searched and cleared. Rows past m and columns
+    past n are passengers: every row operation (on rows < m) carries the
+    row's columns past n along, and every column operation (on columns
+    < n) carries the column's entries in rows past m along.
+    """
 
     def swap_cols(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         s[i] = [x - q * y for x, y in zip(s[i], s[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in s:
-            row[i] -= q * row[j]
-        for row in v:
             row[i] -= q * row[j]
 
     t = 0
@@ -163,12 +151,11 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
         piv = _find_pivot(s, t, m, n)
         if piv is None:
             break
-        swap_rows(t, piv[0])
+        s[t], s[piv[0]] = s[piv[0]], s[t]
         swap_cols(t, piv[1])
         while True:
             if s[t][t] < 0:
                 s[t] = [-x for x in s[t]]
-                u[t] = [-x for x in u[t]]
             p = s[t][t]
             dirty = False
             for i in range(m):
@@ -181,7 +168,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                     dirty = dirty or bool(s[t][j])
             if dirty:
                 i, j = _find_pivot(s, t, m, n)
-                swap_rows(t, i)
+                s[t], s[i] = s[i], s[t]
                 swap_cols(t, j)
                 continue
             # every entry is divisible by a unit pivot
@@ -193,14 +180,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                 break
             # pull the offending row up so the pivot can shrink to the gcd
             s[t] = [x + y for x, y in zip(s[t], s[bad[0]])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad[0]])]
         t += 1
-
-    return SmithForm(
-        IntMatrix.from_rows(s, cols=n),
-        IntMatrix.from_rows(u, cols=m),
-        IntMatrix.from_rows(v, cols=n),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +289,84 @@ class FgAbGroup:
 
 
 def group_from_presentation(n_generators: int, relations: IntMatrix) -> FgAbGroup:
-    """Cokernel of the relation matrix (rows are relations) in canonical form."""
+    """Cokernel of the relation matrix (rows are relations) in canonical form.
+
+    Computed in two steps, with no unimodular witnesses.
+
+    * Unit pivots (_unit_pivot_residual). A relation with coefficient
+      +-1 on a generator x expresses x in terms of the others. Adding
+      multiples of it to the other relations clears x from them, and
+      then x and that relation can both be dropped: the cokernel does
+      not change. This is the sparse elimination step of Dumas, Saunders
+      and Villard, "On efficient sparse integer matrix Smith normal form
+      computations", J. Symbolic Comput. 32 (2001). On kernel_lattice's
+      Hermite bases every unit-pivot column is already zero in the other
+      rows, so the step costs O(nnz) and leaves only the few rows with
+      non-unit pivots.
+    * The residual relations, on the generators they still involve, are
+      brought to Smith form by the elimination smith_normal_form runs,
+      without U and V.
+    """
     if relations.cols != n_generators:
         raise ValueError("relation matrix must have one column per generator")
-    diag = smith_normal_form(relations).s.diagonal()
-    nonzero = [d for d in diag if d]
-    return FgAbGroup(n_generators - len(nonzero), tuple(d for d in nonzero if d > 1))
+    rows, eliminated = _unit_pivot_residual(relations)
+    cols = sorted({c for row in rows for c in row})
+    s = [[row.get(c, 0) for c in cols] for row in rows]
+    _diagonalize(s, len(s), len(cols))
+    nonzero = [s[i][i] for i in range(min(len(s), len(cols))) if s[i][i]]
+    return FgAbGroup(n_generators - eliminated - len(nonzero), tuple(d for d in nonzero if d > 1))
+
+
+def _unit_pivot_residual(a: IntMatrix) -> tuple:
+    """(rows, eliminated): eliminate unit pivots from the rows of a.
+
+    Rows are {column: coeff} dicts, with an index from each column to
+    the rows that have it. While some entry is +-1, take one whose
+    column lies in the fewest rows (fewest rows to update, so least
+    fill-in), earliest column and then earliest row on ties. Subtract
+    multiples of its row from the other rows of that column so that the
+    column is zero there, then drop the row and the column. Returns the
+    nonzero rows left and the number of columns dropped; the cokernel of
+    the rows left, on the columns not dropped, is that of a.
+    """
+    rows = {}
+    where = {}  # column -> ids of the rows with a nonzero entry there
+    entries = a.entries
+    for k in compress(range(len(entries)), entries):
+        i, j = divmod(k, a.cols)
+        rows.setdefault(i, {})[j] = entries[k]
+        where.setdefault(j, set()).add(i)
+    # (row count, column), pushed again whenever an entry of the column
+    # changes; an entry whose count is no longer current is skipped
+    heap = [(len(ids), c) for c, ids in where.items()]
+    heapify(heap)
+    eliminated = 0
+    while heap:
+        count, c = heappop(heap)
+        if len(where.get(c, ())) != count:
+            continue
+        p = min((i for i in where[c] if rows[i][c] in (1, -1)), default=None)
+        if p is None:
+            continue
+        pivot = rows.pop(p)
+        for i in where[c] - {p}:
+            row = rows[i]
+            q = row[c] * pivot[c]  # row -= q * pivot clears c, as pivot[c]^2 = 1
+            for j, x in pivot.items():
+                y = row.get(j, 0) - q * x
+                if y:
+                    row[j] = y
+                    where[j].add(i)
+                else:
+                    del row[j]
+                    where[j].discard(i)
+        for j in pivot:
+            where[j].discard(p)
+            if where[j]:
+                heappush(heap, (len(where[j]), j))
+        del where[c]  # empty now
+        eliminated += 1
+    return [row for row in rows.values() if row], eliminated
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import det
 from rspin import abelian
 from rspin.abelian import (
     FgAbGroup,
@@ -41,8 +42,45 @@ def minors_gcd(a: IntMatrix, k: int) -> int:
     for rs in itertools.combinations(range(a.rows), k):
         for cs in itertools.combinations(range(a.cols), k):
             sub = IntMatrix.from_rows([[a.at(i, j) for j in cs] for i in rs], cols=k)
-            g = gcd(g, sub.det())
+            g = gcd(g, det(sub))
     return g
+
+
+# U, S and V from the implementation that kept U and V in matrices of
+# their own; the elimination that carries them as passengers must give
+# the same
+PINNED = [
+    (
+        [[2, 4], [6, 8], [3, -5], [0, 7]],
+        [[-1, 0, 1, 0], [9, -4, 2, 1], [27, -11, 4, 0], [-30, 13, -6, -2]],
+        [[1, 0], [0, 1], [0, 0], [0, 0]],
+        [[1, 9], [0, 1]],
+    ),
+    (
+        [[4, 6, 10, 0, 14], [6, 9, 15, 3, 21]],
+        [[1, 1], [-9, -10]],
+        [[1, 0, 0, 0, 0], [0, 6, 0, 0, 0]],
+        [[0, 0, 0, 1, 0], [0, 1, 5, 1, 1], [1, 0, -3, -1, -2], [-8, -5, 0, 0, 0], [0, 0, 0, 0, 1]],
+    ),
+    (
+        [[3, 1, 4], [0, 0, 0], [6, 2, 8]],
+        [[1, 0, 0], [0, 1, 0], [-2, 0, 1]],
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 1, 0], [1, -3, -4], [0, 0, 1]],
+    ),
+    (
+        [[2, 0], [0, 3]],
+        [[1, 1], [3, 2]],
+        [[1, 0], [0, 6]],
+        [[-1, 3], [1, -2]],
+    ),
+    (
+        [[-7, 5, 3], [4, -9, 6], [2, 8, -10]],
+        [[1, 0, 4], [-2, -3, -1], [-46, -70, -21]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 116]],
+        [[1, 37, -185], [0, -3, 14], [0, -2, 9]],
+    ),
+]
 
 
 class TestSmithNormalForm:
@@ -60,14 +98,14 @@ class TestSmithNormalForm:
         assert list(s.s.diagonal()) == [2, 4]
         # oracle: d1 = gcd of entries, d1*d2 = |det|
         assert minors_gcd(a, 1) == 2
-        assert abs(a.det()) == 8
+        assert abs(det(a)) == 8
 
     @given(matrices())
     def test_laws(self, a):
         s = smith_normal_form(a)
         assert (s.u @ a @ s.v).to_rows() == s.s.to_rows()
-        assert s.u.det() in (1, -1)
-        assert s.v.det() in (1, -1)
+        assert det(s.u) in (1, -1)
+        assert det(s.v) in (1, -1)
         d = list(s.s.diagonal())
         assert all(x >= 0 for x in d)
         for x, y in zip(d, d[1:]):
@@ -128,6 +166,20 @@ class TestSmithNormalForm:
             [0, 0, 0, 0, 0, 1],
         ]
 
+    @pytest.mark.parametrize("rows,u,s,v", PINNED)
+    def test_pinned_shapes(self, rows, u, s, v):
+        a = IntMatrix.from_rows(rows)
+        sf = smith_normal_form(a)
+        assert (sf.u.to_rows(), sf.s.to_rows(), sf.v.to_rows()) == (u, s, v)
+        assert (sf.u @ a @ sf.v).to_rows() == s
+        assert det(sf.u) in (1, -1) and det(sf.v) in (1, -1)
+
+    @pytest.mark.parametrize("m,n", [(0, 3), (3, 0)])
+    def test_empty_shapes(self, m, n):
+        sf = smith_normal_form(IntMatrix(m, n, ()))
+        assert (sf.s.rows, sf.s.cols) == (m, n)
+        assert sf.u == IntMatrix.identity(m) and sf.v == IntMatrix.identity(n)
+
     @given(
         st.integers(min_value=1, max_value=12).flatmap(
             lambda n: st.tuples(
@@ -155,15 +207,47 @@ class TestSmithNormalForm:
         a = IntMatrix.from_rows(rows, cols=n + 1)
         s = smith_normal_form(a)
         assert (s.u @ a @ s.v).to_rows() == s.s.to_rows()
-        assert s.u.det() in (1, -1)
-        assert s.v.det() in (1, -1)
+        assert det(s.u) in (1, -1)
+        assert det(s.v) in (1, -1)
         d = list(s.s.diagonal())
         assert all(x >= 0 for x in d)
         for x, y in zip(d, d[1:]):
             assert y == 0 or (x != 0 and y % x == 0)
 
 
+def smith_group(a: IntMatrix) -> FgAbGroup:
+    """The cokernel read off the diagonal of the witnessed Smith form."""
+    nonzero = [d for d in smith_normal_form(a).s.diagonal() if d]
+    return FgAbGroup(a.cols - len(nonzero), tuple(d for d in nonzero if d > 1))
+
+
+@st.composite
+def relation_matrices(draw, max_dim=12):
+    """Dense m x n matrices, entries -9..9, m and n from 0 to max_dim;
+    some with zero rows, some with a row that combines two others."""
+    m = draw(st.integers(min_value=0, max_value=max_dim))
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    entries = st.integers(min_value=-9, max_value=9)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    shape = draw(st.sampled_from(["dense", "zero rows", "dependent row"]))
+    if shape == "zero rows":
+        for i in draw(st.lists(st.integers(min_value=0, max_value=max(m - 1, 0)), max_size=m)):
+            rows[i] = [0] * n
+    elif shape == "dependent row" and m >= 3:
+        a, b = draw(entries), draw(entries)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return IntMatrix.from_rows(rows, cols=n)
+
+
 class TestGroupFromPresentation:
+    @given(relation_matrices())
+    @example(IntMatrix(0, 5, ()))
+    @example(IntMatrix(4, 0, ()))
+    @example(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_vs_smith_diagonal(self, a):
+        assert group_from_presentation(a.cols, a) == smith_group(a)
+
     def test_relation_4_16(self):
         g = group_from_presentation(2, IntMatrix.from_rows([[4, 16]]))
         assert g == FgAbGroup(1, (4,))
@@ -322,12 +406,12 @@ def _hermite_kernel(hom: HomZN) -> IntMatrix:
 
 
 @st.composite
-def kernel_maps(draw, max_k=60):
+def kernel_maps(draw, max_k=60, huge_moduli=True):
     """Maps Z^k -> Z + Z/N: N | 24 with free parts all zero, in {-1, 0, 1},
-    small, or near 10^6; or a modulus up to 10^12 with zero free parts
-    (the shape of the theta subgroup's evaluation map)."""
+    small, or near 10^6; or, when huge_moduli, a modulus up to 10^12 with
+    zero free parts (the shape of the theta subgroup's evaluation map)."""
     k = draw(st.integers(min_value=0, max_value=max_k))
-    if draw(st.booleans()):
+    if huge_moduli and draw(st.booleans()):
         n = draw(st.integers(min_value=1, max_value=10**12))
         free = st.just(0)
     else:
@@ -414,6 +498,14 @@ class TestKernelLattice:
     @settings(max_examples=150, deadline=None)
     def test_vs_hermite_oracle(self, hom):
         assert kernel_lattice(hom) == _hermite_kernel(hom)
+
+    @given(kernel_maps(huge_moduli=False))
+    @settings(max_examples=60, deadline=None)
+    def test_cokernel_vs_smith_diagonal(self, hom):
+        # the shape group_from_presentation meets in every presentation:
+        # unit pivots whose columns are zero in every other row
+        ker = kernel_lattice(hom)
+        assert group_from_presentation(ker.cols, ker) == smith_group(ker)
 
     def test_no_general_hermite(self, monkeypatch):
         def refuse(rows, cols):

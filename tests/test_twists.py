@@ -268,7 +268,7 @@ class TestThetaWork:
         from rspin import abelian, classes, twists
 
         calls = {}
-        for name in ("kernel_lattice", "smith_normal_form", "subgroup_info"):
+        for name in ("kernel_lattice", "group_from_presentation", "subgroup_info"):
             real = getattr(abelian, name)
 
             def counting(*args, _name=name, _real=real):
@@ -285,11 +285,11 @@ class TestThetaWork:
         # the fixed pair is checked by one index test, not presented
         ctx = ModuliContext(12, 13, 0)
         calls = self._count(monkeypatch, lambda: h2_theta_subgroup(ctx))
-        assert calls == {"kernel_lattice": 2, "smith_normal_form": 1, "subgroup_info": 2}
+        assert calls == {"kernel_lattice": 2, "group_from_presentation": 1, "subgroup_info": 2}
 
     def test_report_presentation(self, monkeypatch):
         from rspin.topology import picard_report
 
         ctx = ModuliContext(12, 13, 0)
         calls = self._count(monkeypatch, lambda: picard_report(ctx))
-        assert calls == {"kernel_lattice": 1, "smith_normal_form": 1, "subgroup_info": 1}
+        assert calls == {"kernel_lattice": 1, "group_from_presentation": 1, "subgroup_info": 1}
