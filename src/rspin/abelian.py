@@ -36,18 +36,12 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
         rows = [tuple(int(x) for x in r) for r in rows]
-        if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            cols = 0
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        if any(len(r) != cols for r in rows):
+            raise ValueError(f"rows must all have {cols} entries")
         flat = tuple(x for r in rows for x in r)
         return cls(len(rows), cols, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -268,12 +262,6 @@ class FgAbGroup:
                 chain[i], n = gcd(f, n), lcm(f, n)
             chain.append(n)
         return cls(free_rank, tuple(f for f in chain if f > 1))
-
-    def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
-        return FgAbGroup.from_orders(
-            list(self.invariant_factors) + list(other.invariant_factors),
-            self.free_rank + other.free_rank,
-        )
 
     def order(self) -> Optional[int]:
         return None if self.free_rank else prod(self.invariant_factors, start=1)

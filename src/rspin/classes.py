@@ -223,6 +223,8 @@ class ModuliContext:
 
 def stable_genus(r: int, at_least: int = ModuliContext.H2_STABLE_GENUS) -> int:
     """Smallest g >= at_least with a nonempty genus-g moduli space."""
+    if r < 2:
+        raise ValueError("r must be >= 2")
     # r divides 2 - 2g exactly when step divides g - 1
     step = r if r % 2 else r // 2
     return at_least + (1 - at_least) % step
@@ -232,10 +234,6 @@ def stable_genus(r: int, at_least: int = ModuliContext.H2_STABLE_GENUS) -> int:
 # coordinates
 
 
-def _quad(r: int, a: int) -> int:
-    return r * r - 6 * a * r + 6 * a * a
-
-
 def _exact_div(num: int, den: int) -> int:
     q, rem = divmod(num, den)
     if rem:
@@ -243,52 +241,55 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def _symbol_free(ctx: ModuliContext, sym: ClassSymbol) -> int:
-    u = ctx.u
+def symbol_record(ctx: ModuliContext, sym: ClassSymbol, arf: Optional[int] = None) -> tuple:
+    """(free coordinate, phi, fiber weight) of one named class: the rules
+    that give each generator its numbers, side by side.
+
+        class         free coordinate          phi in Z/24   fiber weight
+        lambda(a/r)   u(r^2 - 6ar + 6a^2)/12   2             0
+        kappa1(a/r)   u a^2                    0             2a^2 chi/r
+        mu            -u r^2/48                1             arf r/2
+
+    u = u_r(r), chi = 2 - 2g, arf defaults to eps, and mu needs even r.
+    The fiber weight is the beta-multiple a class restricts to on the
+    gerbe's fiber (rspin.twists). That column does not vanish on the
+    relations between the named classes; ROADMAP item 0 replaces it.
+    """
+    u, r, a = ctx.u, ctx.r, sym.power
     if sym.kind == LAMBDA:
-        return _exact_div(u * _quad(ctx.r, sym.power), 12)
+        return _exact_div(u * (r * r - 6 * a * r + 6 * a * a), 12), 2, 0
     if sym.kind == KAPPA1:
-        return sym.power * sym.power * u
+        return u * a * a, 0, 2 * a * a * (ctx.chi // r)
     ctx.require_mu()
-    return -_exact_div(u * ctx.r * ctx.r, 48)
+    return -_exact_div(u * r * r, 48), 1, (ctx.eps if arf is None else arf) * (r // 2)
 
 
-def _symbol_phi(ctx: ModuliContext, sym: ClassSymbol) -> int:
-    if sym.kind == LAMBDA:
-        return 2
-    if sym.kind == KAPPA1:
-        return 0
-    ctx.require_mu()
-    return 1
+def _free_and_phi(ctx: ModuliContext, x: FormalClass) -> tuple:
+    """The free and phi columns of the records of x's terms, summed with
+    x's coefficients (phi not yet reduced mod 24)."""
+    ctx.require_h2_range()
+    d = phi = 0
+    for s, c in x.terms:
+        v, p, _ = symbol_record(ctx, s)
+        d, phi = d + c * v, phi + c * p
+    return d, phi
 
 
 def free_coordinate(ctx: ModuliContext, x: FormalClass) -> int:
     """Image of x in the rank-one torsion-free quotient, as a multiple of
     the fixed positive generator."""
-    ctx.require_h2_range()
-    return sum(c * _symbol_free(ctx, s) for s, c in x.terms)
+    return _free_and_phi(ctx, x)[0]
 
 
 def phi_value(ctx: ModuliContext, x: FormalClass) -> int:
     """The detection homomorphism into Z/24 (injective on torsion)."""
-    ctx.require_h2_range()
-    return sum(c * _symbol_phi(ctx, s) for s, c in x.terms) % 24
+    return _free_and_phi(ctx, x)[1] % 24
 
 
 def rational_multiple_of_lambda(ctx: ModuliContext, x: FormalClass) -> Fraction:
-    """The rational q with x = q * lambda in rational cohomology."""
-    total = Fraction(0)
-    rr = ctx.r * ctx.r
-    for sym, c in x.terms:
-        if sym.kind == LAMBDA:
-            total += c * Fraction(_quad(ctx.r, sym.power), rr)
-        elif sym.kind == KAPPA1:
-            total += c * Fraction(12 * sym.power * sym.power, rr)
-        else:
-            ctx.require_mu()
-            half = ctx.r // 2
-            total += c * (Fraction(_quad(ctx.r, -half), rr) + 12 * Fraction(_quad(ctx.r, half), rr)) / 2
-    return total
+    """The rational q with x = q * lambda in rational cohomology: the
+    ratio d(x)/d(lambda) of free coordinates, as torsion is rationally 0."""
+    return Fraction(free_coordinate(ctx, x), free_coordinate(ctx, FormalClass.single(Lambda(ctx.r))))
 
 
 def default_symbols(r: int) -> list:
@@ -329,7 +330,7 @@ def generator_lift(ctx: ModuliContext) -> FormalClass:
 
     def step(sym):
         nonlocal g, combo
-        g, x, y = ext_gcd(g, _symbol_free(ctx, sym))
+        g, x, y = ext_gcd(g, symbol_record(ctx, sym)[0])
         combo = x * combo + y * FormalClass.single(sym)
 
     step(Lambda(0))
@@ -391,8 +392,8 @@ def canonical_coords(ctx: ModuliContext, x: FormalClass) -> CanonicalCoords:
 def _coords(ctx: ModuliContext, x: FormalClass, lift_phi) -> CanonicalCoords:
     """canonical_coords given phi of the generator lift, which callers
     mapping many classes compute once."""
-    d = free_coordinate(ctx, x)
-    tau = (phi_value(ctx, x) - d * lift_phi) % 24
+    d, phi = _free_and_phi(ctx, x)
+    tau = (phi - d * lift_phi) % 24
     n = ctx.torsion_order
     if tau % (24 // n):
         raise errors.InternalConsistencyError(
@@ -424,8 +425,8 @@ def _torsion_pair(ctx: ModuliContext, s: ClassSymbol, t: ClassSymbol) -> FormalC
     coordinates u and -ur^2/48, and lambda(a/r) has u(r^2 - 6ar + 6a^2)/12,
     whose roots a = r(3 +- sqrt 3)/6 are irrational for r >= 2.
     """
-    v, w = _symbol_free(ctx, s), _symbol_free(ctx, t)
-    # after _symbol_free, so mu at odd r still raises MuUndefinedError first
+    v, w = symbol_record(ctx, s)[0], symbol_record(ctx, t)[0]
+    # after the records, so mu at odd r still raises MuUndefinedError first
     ctx.require_h2_range()
     g = gcd(v, w)
     out = FormalClass.of([(s, w // g), (t, -(v // g))])

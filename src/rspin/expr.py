@@ -57,8 +57,8 @@ class _Parser:
         return tok
 
     def expect_op(self, op: str):
-        kind, val, pos = self.take()
-        if kind != "op" or val != op:
+        tag, val, pos = self.take()
+        if tag != "op" or val != op:
             raise errors.ParseError(f"expected {op!r}", pos)
 
     def parse(self) -> FormalClass:
@@ -71,8 +71,8 @@ class _Parser:
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             _, op, _ = self.take()
             terms.append(self.term(1 if op == "+" else -1))
-        kind, _, pos = self.peek()
-        if kind != "end":
+        tag, _, pos = self.peek()
+        if tag != "end":
             raise errors.ParseError("trailing input", pos)
         total = FormalClass.zero()
         for t in terms:
@@ -80,9 +80,9 @@ class _Parser:
         return total
 
     def term(self, sign: int) -> FormalClass:
-        kind, val, pos = self.peek()
+        tag, val, pos = self.peek()
         coeff = 1
-        if kind == "int":
+        if tag == "int":
             self.take()
             coeff = val
             nxt = self.peek()
@@ -92,14 +92,14 @@ class _Parser:
                 if coeff != 0:
                     raise errors.ParseError("a bare integer term must be 0", pos)
                 return FormalClass.zero()
-        elif kind != "name":
+        elif tag != "name":
             raise errors.ParseError("expected a class name or integer", pos)
         sym = self.atom()
         return FormalClass.single(sym, sign * coeff)
 
     def atom(self):
-        kind, name, pos = self.take()
-        if kind != "name":
+        tag, name, pos = self.take()
+        if tag != "name":
             raise errors.ParseError("expected lambda, kappa1 or mu", pos)
         if name == "mu":
             if not self.r_even:
@@ -117,12 +117,12 @@ class _Parser:
         if self.peek()[:2] == ("op", "-"):
             self.take()
             neg = True
-        kind, num, pos = self.take()
-        if kind != "int":
+        tag, num, pos = self.take()
+        if tag != "int":
             raise errors.ParseError("expected an integer numerator", pos)
         self.expect_op("/")
-        kind, den, pos = self.take()
-        if kind != "int":
+        tag, den, pos = self.take()
+        if tag != "int":
             raise errors.ParseError("expected an integer denominator", pos)
         if den != self.r:
             raise errors.ParseError(f"denominator must equal r = {self.r}, got {den}", pos)

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 from . import classes as cl
 from . import errors
 from .abelian import FgAbGroup, HomZN, element_order, kernel_lattice, subgroup_info
-from .classes import ClassSymbol, FormalClass, KAPPA1, LAMBDA, ModuliContext, Presentation
+from .classes import ClassSymbol, FormalClass, ModuliContext, Presentation
 
 
 @dataclass(frozen=True)
@@ -32,23 +32,12 @@ class TwistInput:
             raise errors.EpsParityError("arf must be omitted when r is odd")
 
 
-def _fiber_value(ctx: ModuliContext, symbol: ClassSymbol, arf: Optional[int]) -> int:
-    """The beta-multiple one named class restricts to on the fiber, for a
-    structure with Arf invariant arf: zero for the fractional Hodge
-    classes, 2a^2 chi/r for kappa1(a/r), and arf * r/2 for mu."""
-    if symbol.kind == LAMBDA:
-        return 0
-    if symbol.kind == KAPPA1:
-        return 2 * symbol.power * symbol.power * (ctx.chi // ctx.r)
-    ctx.require_mu()
-    return arf * (ctx.r // 2)
-
-
 def _fiber_terms(ctx: ModuliContext, x: FormalClass, arf: Optional[int]) -> list:
-    """(symbol, coefficient, fiber value) per term of x. An empty moduli
-    space has no fiber, so every class, 0 included, is rejected here."""
+    """(symbol, coefficient, fiber weight) per term of x, the weight read
+    from cl.symbol_record at Arf invariant arf. An empty moduli space has
+    no fiber, so every class, 0 included, is rejected here."""
     ctx.require_nonempty()
-    return [(sym, c, _fiber_value(ctx, sym, arf)) for sym, c in x.terms]
+    return [(sym, c, cl.symbol_record(ctx, sym, arf)[2]) for sym, c in x.terms]
 
 
 def twist_shift(tw: TwistInput, symbol: ClassSymbol) -> int:

@@ -89,7 +89,7 @@ class TestSmithNormalForm:
         assert s.s.rows == 0 and s.s.cols == 0
 
     def test_identity(self):
-        s = smith_normal_form(IntMatrix.identity(2))
+        s = smith_normal_form(IntMatrix(2, 2, (1, 0, 0, 1)))
         assert s.s.to_rows() == [[1, 0], [0, 1]]
 
     def test_2x2(self):
@@ -178,7 +178,9 @@ class TestSmithNormalForm:
     def test_empty_shapes(self, m, n):
         sf = smith_normal_form(IntMatrix(m, n, ()))
         assert (sf.s.rows, sf.s.cols) == (m, n)
-        assert sf.u == IntMatrix.identity(m) and sf.v == IntMatrix.identity(n)
+        eye_m = IntMatrix.from_rows([[int(i == j) for j in range(m)] for i in range(m)], cols=m)
+        eye_n = IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+        assert sf.u == eye_m and sf.v == eye_n
 
     @given(
         st.integers(min_value=1, max_value=12).flatmap(
@@ -548,6 +550,16 @@ class TestElementOrder:
     @pytest.mark.parametrize("n,t,expected", [(24, 6, 4), (24, 0, 1), (24, 3, 8)])
     def test_examples(self, n, t, expected):
         assert element_order(n, t) == expected
+
+
+class TestIntMatrix:
+    def test_from_rows_cols(self):
+        assert IntMatrix.from_rows([[1, 2]], cols=2) == IntMatrix(1, 2, (1, 2))
+        assert IntMatrix.from_rows([], cols=3) == IntMatrix(0, 3, ())
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, 2]], cols=3)
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, 2], [3]])
 
 
 class TestFgAbGroup:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import rspin.classes as cl
 from rspin import errors
 from rspin.abelian import IntMatrix
@@ -407,6 +408,48 @@ class TestRationalMultiple:
             x = single(sym)
             assert rational_multiple_of_lambda(ctx, x) == Fraction(free_coordinate(ctx, x), lam)
 
+    def test_genus_guard(self):
+        with pytest.raises(errors.StableRangeError):
+            rational_multiple_of_lambda(ModuliContext(3, 4), single(Lambda(3)))
+
+
+@st.composite
+def record_cases(draw):
+    """(ctx, a, b, arf, coefficients): r up to 10^6 or near 10^12, a and
+    b in -3r..3r, g the stable genus plus a multiple of the step, and arf
+    in {0, 1} for even r."""
+    r = draw(st.one_of(st.integers(2, 10**6), st.integers(10**12 - 12, 10**12 + 12)))
+    step = r if r % 2 else r // 2
+    g = stable_genus(r) + step * draw(st.integers(0, 3))
+    eps, arf = (None, None) if r % 2 else (draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+    a, b = (draw(st.integers(-3 * r, 3 * r)) for _ in range(2))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+    return ModuliContext(r, g, eps), a, b, arf, coeffs
+
+
+class TestSymbolRecord:
+    """symbol_record and the rules built on it against the per-kind rules
+    they replaced (tests/oracles.py)."""
+
+    @given(record_cases())
+    @settings(max_examples=300)
+    def test_matches_per_kind_rules(self, case):
+        ctx, a, b, arf, (c1, c2, c3) = case
+        syms = [Lambda(a), Kappa1(a), Lambda(b), Kappa1(b)]
+        if ctx.r % 2:
+            with pytest.raises(errors.MuUndefinedError):
+                cl.symbol_record(ctx, MU)
+        else:
+            syms.append(MU)
+        for sym in syms:
+            expected = (oracles.symbol_free(ctx, sym), oracles.symbol_phi(ctx, sym))
+            assert cl.symbol_record(ctx, sym, arf) == expected + (oracles.fiber_value(ctx, sym, arf),)
+            assert cl.symbol_record(ctx, sym) == expected + (oracles.fiber_value(ctx, sym, ctx.eps),)
+        x = FormalClass.of([(Lambda(a), c1), (Kappa1(b), c2)] + ([] if ctx.r % 2 else [(MU, c3)]))
+        assert free_coordinate(ctx, x) == sum(c * oracles.symbol_free(ctx, s) for s, c in x.terms)
+        assert phi_value(ctx, x) == sum(c * oracles.symbol_phi(ctx, s) for s, c in x.terms) % 24
+        assert rational_multiple_of_lambda(ctx, x) == oracles.rational_multiple_of_lambda(ctx, x)
+
 
 class TestLinearity:
     @given(
@@ -449,7 +492,7 @@ def _scan_lift(ctx):
     every symbol of default_symbols(r), in order."""
     g, combo = 0, FormalClass.zero()
     for sym in default_symbols(ctx.r):
-        g, x, y = cl.ext_gcd(g, cl._symbol_free(ctx, sym))
+        g, x, y = cl.ext_gcd(g, cl.symbol_record(ctx, sym)[0])
         combo = x * combo + y * single(sym)
     assert g == 1
     return combo
@@ -560,6 +603,11 @@ class TestContext:
         assert ModuliContext(12, 13, 0).torsion_order == 24
         assert ModuliContext(35, 36).torsion_order == 1
         assert [cl.torsion_order_of(r) for r in range(1, 13)] == [1, 4, 3, 8, 1, 12, 1, 8, 3, 4, 1, 24]
+
+    @pytest.mark.parametrize("r", [-4, -3, 0, 1])
+    def test_stable_genus_rejects_small_r(self, r):
+        with pytest.raises(ValueError, match="r must be >= 2"):
+            stable_genus(r)
 
     def test_stable_genus(self):
         for r in range(2, 60):
