@@ -9,6 +9,7 @@ so the two formats carry identical data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -236,7 +237,16 @@ def cmd_table(args) -> dict:
     return {"command": "table", "rows": rows}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call (the first
+    `main`) and returned as is on every later call; `import rspin.cli`
+    builds nothing. Parsing only reads it: each `parse_args` fills a new
+    namespace, so one call's options and defaults never reach the next.
+    `set_defaults(func=cmd_*)` binds each subcommand's function when the
+    parser is built, so replacing a `cmd_*` function after the first
+    `main` call has no effect. `build_parser.__wrapped__()` builds a
+    fresh parser."""
     parser = argparse.ArgumentParser(
         prog="rspin",
         description="Stable Picard groups and characteristic classes of r-Spin moduli spaces.",

@@ -1,6 +1,8 @@
 """Command line behavior: golden output fragments, JSON round-trips,
 and exit codes."""
 
+import argparse
+import gc
 import json
 import os
 import subprocess
@@ -22,6 +24,21 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_or_exit(capsys, *argv):
+    """As `run`, but an argparse exit gives its code as the exit code."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _src_env():
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
 
 
 class TestReport:
@@ -444,10 +461,8 @@ class TestClosedPipe:
     def test_reader_closing_early_exits_0(self):
         # as in `rspin table ... | head -2`: the 340 kB table outgrows the
         # pipe buffer, so the CLI is still writing when the reader leaves
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
         argv = [sys.executable, "-m", "rspin.cli", "table", "--r-min", "2", "--r-max", "3000"]
-        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = subprocess.Popen(argv, env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         proc.stdout.read(100)
         proc.stdout.close()
         try:
@@ -457,3 +472,104 @@ class TestClosedPipe:
         with proc.stderr:
             err = proc.stderr.read()
         assert (code, err) == (0, b"")
+
+
+class TestSharedParser:
+    """One parser per process: built by the first `main`, only read after."""
+
+    # every subcommand, with and without --force, --eps, --arf and --json,
+    # plus argvs that end in each exit code and two that argparse rejects
+    ARGVS = [
+        ["report", "--r", "4", "--g", "7", "--eps", "1", "--force"],
+        ["report", "--r", "4", "--g", "7", "--eps", "1"],
+        ["report", "--r", "4", "--g", "9", "--eps", "0", "--json"],
+        ["report", "--r", "3", "--g", "10"],
+        ["report", "--r", "3", "--g", "10", "--eps", "0"],
+        ["report", "--r", "2", "--g", "9"],
+        ["theta", "--r", "4", "--g", "9", "--eps", "1", "--json"],
+        ["theta", "--r", "4", "--g", "9", "--eps", "1"],
+        ["theta", "--r", "3", "--g", "2", "--force"],
+        ["theta", "--r", "3", "--g", "2"],
+        ["eval", "--r", "3", "--g", "10", "--json", "3*lambda(1/3) + lambda"],
+        ["eval", "--r", "3", "--g", "10", "3*lambda(1/3) + lambda"],
+        ["eval", "--r", "4", "--g", "9", "--eps", "1", "mu"],
+        ["eval", "--r", "3", "--g", "2", "--force", "lambda"],
+        ["eval", "--r", "3", "--g", "10", "lambda(1/"],
+        ["twist", "--r", "4", "--g", "9", "--eps", "1", "--arf", "1", "--beta", "1", "--json", "mu"],
+        ["twist", "--r", "4", "--g", "9", "--eps", "1", "--arf", "1", "--beta", "1", "mu"],
+        ["twist", "--r", "4", "--g", "9", "--eps", "1", "--beta", "1", "mu"],
+        ["twist", "--r", "4", "--g", "5", "--eps", "1", "--arf", "1", "--beta", "1", "--force", "mu"],
+        ["twist", "--r", "4", "--g", "5", "--eps", "1", "--arf", "1", "--beta", "1", "mu"],
+        ["table", "--r-min", "2", "--r-max", "6", "--json"],
+        ["table", "--r-min", "2", "--r-max", "6"],
+        ["table", "--r-min", "6", "--r-max", "2"],
+        ["report", "--bogus"],
+        ["report", "--r", "4", "--g", "9", "--eps", "2"],
+    ]
+
+    def test_no_parser_rebuilds(self, capsys, monkeypatch):
+        cli.build_parser()
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        codes = {run_or_exit(capsys, *argv)[0] for argv in self.ARGVS}
+        assert codes == {0, 2, 3}
+        assert built == []
+
+    def test_state_independent_of_call_order(self, capsys):
+        forward = {tuple(argv): run_or_exit(capsys, *argv) for argv in self.ARGVS}
+        backward = {tuple(argv): run_or_exit(capsys, *argv) for argv in reversed(self.ARGVS)}
+        assert backward == forward
+        assert forward[tuple(self.ARGVS[0])][0] == 0
+        assert forward[tuple(self.ARGVS[1])][0] == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--r", "3", "--g", "10"],
+            ["eval", "--r", "3", "--g", "10", "3*lambda(1/3) + lambda"],
+            ["eval", "--r", "3", "--g", "10", "lambda(1/"],
+        ],
+    )
+    def test_no_cyclic_garbage(self, capsys, argv):
+        run(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            run(capsys, *argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_import_builds_no_parser(self):
+        child = (
+            "import argparse\n"
+            "built = []\n"
+            "real_init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    real_init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import rspin.cli\n"
+            "at_import = len(built)\n"
+            "rspin.cli.build_parser()\n"
+            "print(at_import, len(built) > 0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", child], env=_src_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "0 True\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["report", "--help"]])
+    def test_help_matches_fresh_parser(self, capsys, argv):
+        outs = []
+        for parse in (cli.main, cli.main, cli.build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            assert exc.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs[0] == outs[1] == outs[2]
