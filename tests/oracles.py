@@ -31,6 +31,22 @@ def det(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def rank(a: IntMatrix) -> int:
+    """Rank over Q, by Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in row] for row in a.to_rows()]
+    r = 0
+    for c in range(a.cols):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
 # The rules of the named classes written out one kind at a time, as the
 # reference rspin.classes.symbol_record is compared with.
 

@@ -3,12 +3,13 @@ kernels and subgroups checked against brute-force oracles."""
 
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import det
+from oracles import det, rank
 from rspin import abelian
 from rspin.abelian import (
     FgAbGroup,
@@ -284,6 +285,97 @@ class TestGroupFromPresentation:
             added = [r[:] for r in rows]
             added[0] = [x + y for x, y in zip(added[0], added[1])]
             assert group_from_presentation(3, IntMatrix.from_rows(added, cols=3)) == base
+
+    @given(st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=8))
+    def test_one_row_is_the_gcd(self, row):
+        n = len(row)
+        g = gcd(*row)
+        want = FgAbGroup.free(n) if g == 0 else FgAbGroup(n - 1, (g,) if g > 1 else ())
+        assert group_from_presentation(n, IntMatrix.from_rows([row], cols=n)) == want
+
+    @given(relation_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_modular_steps_from_two_rows(self, a):
+        # the residuals below _MODULAR_ROWS rows take _diagonalize alone;
+        # here every residual of two or more rows takes the steps mod d
+        with mock.patch.object(abelian, "_MODULAR_ROWS", 2):
+            assert group_from_presentation(a.cols, a) == smith_group(a)
+
+    @pytest.mark.parametrize("n", [16, 20, 26, 30, 40])
+    def test_dense_squares(self, n):
+        rng = random.Random(n)
+        a = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        assert modular_residual(a)
+        g = group_from_presentation(n, a)
+        assert g == smith_group(a)
+        d = abs(det(a))
+        if d:
+            assert g.order() == d
+
+    @pytest.mark.parametrize(
+        "m, n, rank_bound", [(30, 20, 14), (20, 30, 20), (12, 30, 12), (30, 12, 9)]
+    )
+    def test_rank_deficient(self, m, n, rank_bound):
+        # every row a combination of rank_bound random rows
+        rng = random.Random(m * n)
+        basis = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rank_bound)]
+        rows = [
+            [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n)]
+            for coeffs in ([rng.randint(-2, 2) for _ in basis] for _ in range(m))
+        ]
+        a = IntMatrix.from_rows(rows, cols=n)
+        assert modular_residual(a)
+        g = group_from_presentation(n, a)
+        assert g == smith_group(a)
+        assert g.free_rank >= 2 and g.free_rank == n - rank(a)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unimodular_conjugates_of_a_diagonal(self, seed):
+        # squared primes in d and a torsion part that is not cyclic
+        orders = [2, 4, 8, 16, 9, 27, 3, 5, 25, 2, 4, 1, 1, 1]
+        n = len(orders) + 2  # two free generators
+        rng = random.Random(seed)
+        a = unimodular(rng, len(orders)) @ IntMatrix.from_rows(
+            [[x if i == j else 0 for j in range(n)] for i, x in enumerate(orders)], cols=n
+        ) @ unimodular(rng, n)
+        assert modular_residual(a)
+        g = group_from_presentation(n, a)
+        assert g == FgAbGroup.from_orders(orders, free_rank=2) == smith_group(a)
+        assert g.invariant_factors == (2, 2, 4, 12, 360, 10800)
+
+
+def modular_residual(a: IntMatrix) -> bool:
+    """Whether a's residual after unit pivots takes the steps mod d."""
+    return len(abelian._unit_pivot_residual(a)[0]) >= abelian._MODULAR_ROWS
+
+
+def unimodular(rng, n: int) -> IntMatrix:
+    """A product of elementary row operations on I_n, with a dense result."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice([-2, -1, 1, 2])
+        rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+class TestRankAndMinor:
+    @given(relation_matrices(max_dim=7))
+    @settings(max_examples=150, deadline=None)
+    def test_rank_and_a_maximal_minor(self, a):
+        rho, d = abelian._rank_and_minor(a.to_rows())
+        assert rho == rank(a)
+        # d_1 ... d_rho, the gcd of the rho x rho minors, divides d
+        assert d % prod(smith_group(a).invariant_factors, start=1) == 0
+        if rho == 0:
+            assert d == 1
+        elif max(a.rows, a.cols) <= 5:
+            minors = {
+                abs(det(IntMatrix.from_rows([[a.at(i, j) for j in cs] for i in rs], cols=rho)))
+                for rs in itertools.combinations(range(a.rows), rho)
+                for cs in itertools.combinations(range(a.cols), rho)
+            }
+            assert d in minors - {0}
 
 
 def brute_force_subgroup(n, gens, f_bound, coeff_bound):
