@@ -8,33 +8,72 @@ no overflow.  All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm, prod
-from typing import Iterable, Optional, Sequence
+
+
+# ---------------------------------------------------------------------------
+# immutable values
+
+
+class Value:
+    """Base of rspin's immutable value classes.
+
+    The fields are the class's __slots__, in order, each set once by its
+    __init__ through object.__setattr__. Two values are equal when they
+    are of the same class and their _key() tuples (by default every
+    field) are equal, and the hash is that of _key(). Assigning or
+    deleting a field raises AttributeError. repr is Name(field=value, ...)
+    over every field. A class on a hot path writes __eq__ and __hash__
+    by hand.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------
 # integer matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Dense integer matrix, row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+    def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         rows = [tuple(int(x) for x in r) for r in rows]
         if cols is None:
             cols = len(rows[0]) if rows else 0
@@ -70,13 +109,15 @@ class IntMatrix:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Value):
     """U @ A @ V == S with U, V unimodular and S diagonal, d_i | d_{i+1}."""
 
-    s: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
+    __slots__ = ("s", "u", "v")
+
+    def __init__(self, s: IntMatrix, u: IntMatrix, v: IntMatrix):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
 
 def _find_pivot(s, t, m, n):
@@ -216,21 +257,21 @@ def hermite_normal_form(rows: Iterable[Sequence[int]], cols: int) -> IntMatrix:
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(Value):
     """Canonical form: two values are equal iff the groups are isomorphic."""
 
-    free_rank: int
-    invariant_factors: tuple = ()
+    __slots__ = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, invariant_factors: tuple = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        fs = self.invariant_factors
+        fs = invariant_factors
         if any(f < 2 for f in fs):
             raise ValueError("invariant factors must be >= 2")
         if any(fs[i + 1] % fs[i] for i in range(len(fs) - 1)):
             raise ValueError("invariant factors must form a divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
 
     @classmethod
     def trivial(cls) -> "FgAbGroup":
@@ -263,7 +304,7 @@ class FgAbGroup:
             chain.append(n)
         return cls(free_rank, tuple(f for f in chain if f > 1))
 
-    def order(self) -> Optional[int]:
+    def order(self) -> int | None:
         return None if self.free_rank else prod(self.invariant_factors, start=1)
 
     def __str__(self):
@@ -483,18 +524,17 @@ def _unit_pivot_residual(a: IntMatrix) -> tuple:
 # maps into Z + Z/N and subgroups thereof
 
 
-@dataclass(frozen=True)
-class HomZN:
-    """A homomorphism Z^k -> Z + Z/N given by generator images."""
+class HomZN(Value):
+    """A homomorphism Z^k -> Z + Z/N given by generator images: pairs
+    (free part, torsion part), the torsion parts reduced mod N."""
 
-    ambient_torsion: int
-    generator_images: tuple  # pairs (free part, torsion part mod N)
+    __slots__ = ("ambient_torsion", "generator_images")
 
-    def __post_init__(self):
-        if self.ambient_torsion < 1:
+    def __init__(self, ambient_torsion: int, generator_images: tuple):
+        if ambient_torsion < 1:
             raise ValueError("modulus must be >= 1")
-        n = self.ambient_torsion
-        reduced = tuple((int(f), int(t) % n) for f, t in self.generator_images)
+        reduced = tuple((int(f), int(t) % ambient_torsion) for f, t in generator_images)
+        object.__setattr__(self, "ambient_torsion", ambient_torsion)
         object.__setattr__(self, "generator_images", reduced)
 
 
@@ -636,19 +676,22 @@ def ext_gcd(a: int, b: int):
     return old_r, old_x, old_y
 
 
-@dataclass(frozen=True)
-class SubgroupInfo:
-    """A subgroup of Z + Z/N: structure, index, and a membership basis.
+class SubgroupInfo(Value):
+    """A subgroup of Z + Z/N: structure, index (None when infinite), and
+    a membership basis.
 
     The basis is the Hermite form of the lift of the subgroup to Z^2
     (it always contains (0, N)), so an element is a member exactly when
     its order modulo that 2x2 basis is 1 (_order_mod).
     """
 
-    ambient_torsion: int
-    group: FgAbGroup
-    index: Optional[int]  # None means infinite index
-    basis: IntMatrix
+    __slots__ = ("ambient_torsion", "group", "index", "basis")
+
+    def __init__(self, ambient_torsion: int, group: FgAbGroup, index: int | None, basis: IntMatrix):
+        object.__setattr__(self, "ambient_torsion", ambient_torsion)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "basis", basis)
 
     def contains(self, element) -> bool:
         free, tors = element

@@ -8,10 +8,8 @@ generators, and generator/relation presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections.abc import Sequence
 from math import gcd, isqrt
-from typing import Optional, Sequence
 
 from . import errors
 from .abelian import (
@@ -19,6 +17,7 @@ from .abelian import (
     HomZN,
     IntMatrix,
     SubgroupInfo,
+    Value,
     element_order,
     ext_gcd,
     group_from_presentation,
@@ -33,16 +32,26 @@ MU_KIND = "mu"
 _KIND_RANK = {LAMBDA: 0, KAPPA1: 1, MU_KIND: 2}
 
 
-@dataclass(frozen=True)
-class ClassSymbol:
-    """One named class: lambda(a/r), kappa1(a/r), or mu."""
+class ClassSymbol(Value):
+    """One named class: lambda(a/r), kappa1(a/r), or mu. power is the
+    tensor-power numerator a, unused (0) for mu."""
 
-    kind: str
-    power: int = 0  # tensor-power numerator a; unused for mu
+    __slots__ = ("kind", "power")
 
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
+    def __init__(self, kind: str, power: int = 0):
+        if kind not in _KIND_RANK:
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "power", power)
+
+    # by hand: every FormalClass sum hashes its symbols
+    def __eq__(self, other):
+        if other.__class__ is ClassSymbol:
+            return self.kind == other.kind and self.power == other.power
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.power))
 
     def sort_key(self):
         return (_KIND_RANK[self.kind], self.power)
@@ -59,11 +68,22 @@ def Kappa1(a: int) -> ClassSymbol:
 MU = ClassSymbol(MU_KIND, 0)
 
 
-@dataclass(frozen=True)
-class FormalClass:
-    """Integer linear combination of class symbols, normalized support."""
+class FormalClass(Value):
+    """Integer linear combination of class symbols, normalized support:
+    terms are pairs (ClassSymbol, nonzero coefficient) in sort_key order."""
 
-    terms: tuple = ()  # sorted pairs (ClassSymbol, nonzero coefficient)
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple = ()):
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is FormalClass:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.terms)
 
     @classmethod
     def of(cls, pairs) -> "FormalClass":
@@ -149,33 +169,36 @@ def u_r(r: int) -> int:
     return (12 if r % 2 else 48) // torsion_order_of(r)
 
 
-@dataclass(frozen=True)
-class ModuliContext:
+class ModuliContext(Value):
     """The parameters (r, g, eps) of one moduli space.
 
     eps is the Arf invariant and must be supplied exactly when r is even.
     allow_unstable disables the genus guards; results below the stable
-    range are unverified.
+    range are unverified. It takes no part in equality or hashing.
     """
 
-    r: int
-    g: int
-    eps: Optional[int] = None
-    allow_unstable: bool = field(default=False, compare=False)
+    __slots__ = ("r", "g", "eps", "allow_unstable")
 
     H1_STABLE_GENUS = 6
     H2_STABLE_GENUS = 9
 
-    def __post_init__(self):
-        if self.r < 2:
+    def __init__(self, r: int, g: int, eps: int | None = None, allow_unstable: bool = False):
+        if r < 2:
             raise ValueError("r must be >= 2")
-        if self.g < 2:
+        if g < 2:
             raise ValueError("g must be >= 2")
-        if self.r % 2 == 0:
-            if self.eps not in (0, 1):
-                raise errors.EpsParityError(f"r = {self.r} is even: eps must be 0 or 1")
-        elif self.eps is not None:
-            raise errors.EpsParityError(f"r = {self.r} is odd: eps must be omitted")
+        if r % 2 == 0:
+            if eps not in (0, 1):
+                raise errors.EpsParityError(f"r = {r} is even: eps must be 0 or 1")
+        elif eps is not None:
+            raise errors.EpsParityError(f"r = {r} is odd: eps must be omitted")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "allow_unstable", allow_unstable)
+
+    def _key(self) -> tuple:
+        return (self.r, self.g, self.eps)
 
     @property
     def chi(self) -> int:
@@ -241,7 +264,7 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def symbol_record(ctx: ModuliContext, sym: ClassSymbol, arf: Optional[int] = None) -> tuple:
+def symbol_record(ctx: ModuliContext, sym: ClassSymbol, arf: int | None = None) -> tuple:
     """(free coordinate, phi, fiber weight) of one named class: the rules
     that give each generator its numbers, side by side.
 
@@ -288,7 +311,10 @@ def phi_value(ctx: ModuliContext, x: FormalClass) -> int:
 
 def rational_multiple_of_lambda(ctx: ModuliContext, x: FormalClass) -> Fraction:
     """The rational q with x = q * lambda in rational cohomology: the
-    ratio d(x)/d(lambda) of free coordinates, as torsion is rationally 0."""
+    ratio d(x)/d(lambda) of free coordinates, as torsion is rationally 0.
+    fractions is imported here, as only eval asks for q."""
+    from fractions import Fraction
+
     return Fraction(free_coordinate(ctx, x), free_coordinate(ctx, FormalClass.single(Lambda(ctx.r))))
 
 
@@ -368,14 +394,16 @@ def _lambda_roots(ctx: ModuliContext, values: Sequence[int], lo: int, hi: int) -
     return sorted(roots)
 
 
-@dataclass(frozen=True)
-class CanonicalCoords:
+class CanonicalCoords(Value):
     """The pair deciding equality in H^2: free coordinate d and the
-    phi-value tau of the torsion part (a multiple of 24/N)."""
+    phi-value tau in Z/24 of the torsion part (a multiple of 24/N)."""
 
-    d: int
-    tau: int  # in Z/24
-    torsion_order: int
+    __slots__ = ("d", "tau", "torsion_order")
+
+    def __init__(self, d: int, tau: int, torsion_order: int):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "torsion_order", torsion_order)
 
     @property
     def tau_reduced(self) -> int:
@@ -476,13 +504,15 @@ def torsion_generator(ctx: ModuliContext) -> FormalClass:
 # presentations
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Ordered generators plus an integer relation matrix (one relation
-    per row), relations in Hermite normal form."""
+class Presentation(Value):
+    """Ordered generators (FormalClass values) plus an integer relation
+    matrix (one relation per row), relations in Hermite normal form."""
 
-    generators: tuple  # FormalClass values
-    relations: IntMatrix
+    __slots__ = ("generators", "relations")
+
+    def __init__(self, generators: tuple, relations: IntMatrix):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
 
     def group(self) -> FgAbGroup:
         return group_from_presentation(len(self.generators), self.relations)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -69,6 +68,8 @@ def _scalar(v) -> str:
 
 def _emit(report: dict, args) -> None:
     if args.json:
+        import json  # only --json output needs it
+
         print(json.dumps(report, ensure_ascii=False, indent=2))
     else:
         print(_render_text(report, _use_color()))
@@ -221,6 +222,9 @@ def cmd_twist(args) -> dict:
 def cmd_table(args) -> dict:
     if args.r_min > args.r_max:
         raise ValueError(f"empty range: --r-min {args.r_min} is greater than --r-max {args.r_max}")
+    if args.r_min < 2:
+        # u_r, and so every row, needs r >= 2
+        raise ValueError("r must be >= 2")
     rows = []
     for r in range(args.r_min, args.r_max + 1):
         pi0, euler_index = topology.pi0_mtspin(r)

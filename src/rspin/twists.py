@@ -4,35 +4,34 @@ of the r-theta-characteristic moduli spaces."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import gcd
-from typing import Optional, Sequence
 
 from . import classes as cl
 from . import errors
-from .abelian import FgAbGroup, HomZN, element_order, kernel_lattice, subgroup_info
+from .abelian import FgAbGroup, HomZN, Value, element_order, kernel_lattice, subgroup_info
 from .classes import ClassSymbol, FormalClass, ModuliContext, Presentation
 
 
-@dataclass(frozen=True)
-class TwistInput:
+class TwistInput(Value):
     """Parameters of a twist: the base context, the Arf invariant of the
     starting structure (even r only), and the coefficient of the
     Bockstein class beta(D)."""
 
-    ctx: ModuliContext
-    arf: Optional[int] = None
-    beta_coefficient: int = 0
+    __slots__ = ("ctx", "arf", "beta_coefficient")
 
-    def __post_init__(self):
-        if self.ctx.r % 2 == 0:
-            if self.arf not in (0, 1):
+    def __init__(self, ctx: ModuliContext, arf: int | None = None, beta_coefficient: int = 0):
+        if ctx.r % 2 == 0:
+            if arf not in (0, 1):
                 raise errors.EpsParityError("arf must be 0 or 1 when r is even")
-        elif self.arf is not None:
+        elif arf is not None:
             raise errors.EpsParityError("arf must be omitted when r is odd")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "arf", arf)
+        object.__setattr__(self, "beta_coefficient", beta_coefficient)
 
 
-def _fiber_terms(ctx: ModuliContext, x: FormalClass, arf: Optional[int]) -> list:
+def _fiber_terms(ctx: ModuliContext, x: FormalClass, arf: int | None) -> list:
     """(symbol, coefficient, fiber weight) per term of x, the weight read
     from cl.symbol_record at Arf invariant arf. An empty moduli space has
     no fiber, so every class, 0 included, is rejected here."""
@@ -61,12 +60,15 @@ def eval_on_fiber(ctx: ModuliContext, x: FormalClass) -> int:
     return sum(c * v for _, c, v in _fiber_terms(ctx, x, ctx.eps)) % ctx.r
 
 
-@dataclass(frozen=True)
-class ZrSubgroup:
-    """A subgroup of Z/r in canonical form: generated by a divisor of r."""
+class ZrSubgroup(Value):
+    """A subgroup of Z/r in canonical form: generated by a divisor of r,
+    which is r itself for the zero subgroup."""
 
-    modulus: int
-    generator: int  # divisor of modulus; equals modulus for the zero subgroup
+    __slots__ = ("modulus", "generator")
+
+    def __init__(self, modulus: int, generator: int):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "generator", generator)
 
     @classmethod
     def generated_by(cls, modulus: int, element: int) -> "ZrSubgroup":
@@ -128,7 +130,7 @@ def h1_theta(ctx: ModuliContext, image: ZrSubgroup) -> FgAbGroup:
     return FgAbGroup.cyclic(n // image.order)
 
 
-def theta_g_dependence_note(ctx: ModuliContext, image: ZrSubgroup) -> Optional[str]:
+def theta_g_dependence_note(ctx: ModuliContext, image: ZrSubgroup) -> str | None:
     """Warn when the r = 4 image, as computed by tors_map_image, deviates
     from its advertised g-independent value (it agrees at g = 9)."""
     if ctx.r != 4:
@@ -142,18 +144,20 @@ def theta_g_dependence_note(ctx: ModuliContext, image: ZrSubgroup) -> Optional[s
     )
 
 
-@dataclass(frozen=True)
-class ThetaSubgroup:
+class ThetaSubgroup(Value):
     """H^2 of the theta-characteristic space as a subgroup of H^2 of the
-    r-Spin space."""
+    r-Spin space, on generators that are FormalClass values."""
 
-    generators: tuple  # FormalClass values
-    presentation: Presentation
-    group: FgAbGroup
-    index: int
+    __slots__ = ("generators", "presentation", "group", "index")
+
+    def __init__(self, generators: tuple, presentation: Presentation, group: FgAbGroup, index: int):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "index", index)
 
 
-def h2_theta_subgroup(ctx: ModuliContext, generators: Optional[Sequence[FormalClass]] = None) -> ThetaSubgroup:
+def h2_theta_subgroup(ctx: ModuliContext, generators: Sequence[FormalClass] | None = None) -> ThetaSubgroup:
     """The kernel of the fiber restriction, expressed in the supplied
     generating classes of the ambient H^2."""
     ctx.require_nonempty()
@@ -166,7 +170,7 @@ def h2_theta_subgroup(ctx: ModuliContext, generators: Optional[Sequence[FormalCl
     evals = [eval_on_fiber(ctx, x) for x in gens]
     coeff_rows = kernel_lattice(HomZN(ctx.r, tuple((0, e) for e in evals)))
     sub_gens = tuple(
-        sum((c * x for c, x in zip(row, gens)), FormalClass.zero()) for row in coeff_rows.to_rows()
+        sum((c * x for c, x in zip(row, gens) if c), FormalClass.zero()) for row in coeff_rows.to_rows()
     )
 
     hom = cl.coords_hom(ctx, sub_gens)

@@ -2,7 +2,6 @@
 the degree-two class lattice."""
 
 import ast
-import dataclasses
 import os
 import subprocess
 import sys
@@ -16,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import rspin.classes as cl
 from rspin import errors
-from rspin.abelian import IntMatrix
+from rspin.abelian import IntMatrix, SubgroupInfo
 from rspin.classes import (
     FormalClass,
     Kappa1,
@@ -336,7 +335,8 @@ class TestPresentation:
         real = cl.subgroup_info
 
         def index_two(n, gens):
-            return dataclasses.replace(real(n, gens), index=2)
+            info = real(n, gens)
+            return SubgroupInfo(info.ambient_torsion, info.group, 2, info.basis)
 
         monkeypatch.setattr(cl, "subgroup_info", index_two)
         for build in (default_generators, cl.default_presentation):

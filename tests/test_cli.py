@@ -265,6 +265,17 @@ class TestTable:
         assert code == 2
         assert out == "" and err == "error: empty range: --r-min 5 is greater than --r-max 4\n"
 
+    @pytest.mark.parametrize("lo,hi", [(1, 1), (1, 5), (0, 0), (0, 3), (-1, 2), (-7, 40)])
+    def test_r_min_below_2(self, capsys, lo, hi):
+        # the same one line for every --r-min below 2, as report --r 1 gives
+        code, out, err = run(capsys, "table", "--r-min", str(lo), "--r-max", str(hi))
+        assert (code, out, err) == (2, "", "error: r must be >= 2\n")
+        assert run(capsys, "report", "--r", "1", "--g", "9")[1:] == ("", err)
+
+    def test_empty_range_first(self, capsys):
+        code, out, err = run(capsys, "table", "--r-min", "1", "--r-max", "0")
+        assert (code, out, err) == (2, "", "error: empty range: --r-min 1 is greater than --r-max 0\n")
+
 
 class TestOnePresentationPerQuery:
     @pytest.mark.parametrize(
@@ -305,13 +316,13 @@ class TestOneContextPerQuery:
     )
     def test_context_built_once(self, capsys, monkeypatch, argv):
         built = []
-        real = cl.ModuliContext.__post_init__
+        real = cl.ModuliContext.__init__
 
-        def counting(ctx):
+        def counting(ctx, *args, **kwargs):
+            real(ctx, *args, **kwargs)
             built.append((ctx.r, ctx.g, ctx.eps))
-            real(ctx)
 
-        monkeypatch.setattr(cl.ModuliContext, "__post_init__", counting)
+        monkeypatch.setattr(cl.ModuliContext, "__init__", counting)
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert len(built) == 1
@@ -546,9 +557,13 @@ class TestSharedParser:
         finally:
             gc.enable()
 
+    # standard modules that no query needs at import: dataclasses (which
+    # loads inspect), typing, fractions (eval loads it) and json (--json)
+    UNNEEDED = ("dataclasses", "inspect", "typing", "fractions", "json")
+
     def test_import_builds_no_parser(self):
         child = (
-            "import argparse\n"
+            "import argparse, sys\n"
             "built = []\n"
             "real_init = argparse.ArgumentParser.__init__\n"
             "def counting(self, *args, **kwargs):\n"
@@ -557,12 +572,26 @@ class TestSharedParser:
             "argparse.ArgumentParser.__init__ = counting\n"
             "import rspin.cli\n"
             "at_import = len(built)\n"
+            f"loaded = [m for m in {self.UNNEEDED!r} if m in sys.modules]\n"
             "rspin.cli.build_parser()\n"
-            "print(at_import, len(built) > 0)\n"
+            "print(at_import, len(built) > 0, loaded)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", child], env=_src_env(), capture_output=True, text=True, timeout=60)
+        # -S: no site module, whose .pth files may load typing on their own
+        argv = [sys.executable, "-S", "-c", child]
+        proc = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == "0 True\n"
+        assert proc.stdout == "0 True []\n"
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_cold_eval_loads_what_it_needs(self, as_json):
+        argv = [sys.executable, "-m", "rspin.cli", "eval", "--r", "4", "--g", "9", "--eps", "1"]
+        argv += ["--json"] * as_json + ["kappa1(1/4) - lambda"]
+        proc = subprocess.run(argv, env=_src_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if as_json:
+            assert json.loads(proc.stdout)["rational_multiple_of_lambda"] == "-1/4"
+        else:
+            assert "\nrational multiple of lambda: -1/4\n" in proc.stdout
 
     @pytest.mark.parametrize("argv", [["--help"], ["report", "--help"]])
     def test_help_matches_fresh_parser(self, capsys, argv):

@@ -258,6 +258,33 @@ class TestH2ThetaSubgroup:
         whole = [FormalClass.single(Lambda(2)), FormalClass.single(MU)]
         assert h2_theta_subgroup(ctx, whole) == h2_theta_subgroup(ctx)
 
+    @pytest.mark.parametrize("r,eps", [(r, eps) for r in range(2, 49) for eps in ((0, 1) if r % 2 == 0 else (None,))])
+    def test_generators_are_the_dense_sums(self, monkeypatch, r, eps):
+        # on all named classes: each generator is sum c_i x_i over a kernel
+        # row c, zero coefficients included. The subgroup's generators are
+        # the second tuple coords_hom sees, read before the index check,
+        # which fails at many r (ROADMAP item 0).
+        from rspin import abelian, classes
+
+        ctx = ModuliContext(r, stable_genus(r), eps)
+        gens = tuple(FormalClass.single(s) for s in classes.default_symbols(r))
+        seen = []
+        real = classes.coords_hom
+
+        def recording(ctx, gens):
+            seen.append(tuple(gens))
+            return real(ctx, gens)
+
+        monkeypatch.setattr(classes, "coords_hom", recording)
+        try:
+            got = h2_theta_subgroup(ctx, gens).generators
+        except errors.InternalConsistencyError:
+            got = seen[1]
+        evals = tuple((0, eval_on_fiber(ctx, x)) for x in gens)
+        rows = abelian.kernel_lattice(abelian.HomZN(r, evals)).to_rows()
+        dense = tuple(sum((c * x for c, x in zip(row, gens)), FormalClass.zero()) for row in rows)
+        assert len(seen) == 2 and got == seen[1] == dense
+
 
 class TestThetaWork:
     """Calls into the abelian layer per query, counted by wrapping each
