@@ -590,7 +590,7 @@ def kernel_lattice(hom: HomZN) -> IntMatrix:
                 if q:
                     _axpy(row, -q, rows[c])
             rows[j] = row
-        if d != 1:
+        if d != 1 and j:  # no column reads L_0
             basis = _hermite2(basis + [(f, t, {j: 1})])
             if d:
                 reducers.append(j)
@@ -655,9 +655,9 @@ def _hermite2(vectors: list) -> list:
 
 def _combine(p: int, v: tuple, q: int, w: tuple) -> tuple:
     """p v + q w for (free, torsion, coefficients) vectors."""
-    coeffs = {}
-    _axpy(coeffs, p, v[2])
-    _axpy(coeffs, q, w[2])
+    coeffs = {c: p * x for c, x in v[2].items()} if p else {}
+    if q:
+        _axpy(coeffs, q, w[2])
     return (p * v[0] + q * w[0], p * v[1] + q * w[1], coeffs)
 
 
@@ -699,21 +699,43 @@ class SubgroupInfo(Value):
 
 
 def subgroup_info(ambient_torsion: int, generators: Iterable) -> SubgroupInfo:
-    """Structure of the subgroup of Z + Z/N generated by the given elements."""
+    """Structure of the subgroup of Z + Z/N generated by the given elements.
+
+    The Hermite basis of its lift L = <generators, (0, N)> to Z^2 comes
+    from one gcd chain over the free parts. Each step replaces the pivot
+    (f0, t0) and a generator (f, t) by the unimodular pair
+    (x, y; f/g, -f0/g) of ext_gcd(f0, f) = (g, x, y): a new pivot with
+    free part g and an eliminated vector (0, t'). When f0 divides f the
+    step is one quotient, (f, t) - (f/f0)(f0, t0), and keeps the pivot.
+    So L is spanned by the pivot and by vectors (0, t): the eliminated
+    ones, the generators with free part 0, and (0, N). Their gcd h gives
+    L meet (0 + Z) = Z(0, h), and the basis is (f0, t0 mod h), (0, h),
+    or (0, h) alone when every free part is 0 (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).
+    """
     if ambient_torsion < 1:
         raise ValueError("modulus must be >= 1")
-    n = ambient_torsion
-    rows = [(int(f), int(t) % n) for f, t in generators]
-    rows.append((0, n))
-    basis = hermite_normal_form(rows, 2)
+    n = h = ambient_torsion
+    f0 = t0 = 0
+    for f, t in generators:
+        if not f:
+            h = gcd(h, t)
+        elif not f0:
+            f0, t0 = f, t % n
+        elif not f % f0:
+            h = gcd(h, t - f // f0 * t0)
+        else:
+            g, x, y = ext_gcd(f0, f)
+            h = gcd(h, f // g * t0 - f0 // g * t)
+            f0, t0 = g, (x * t0 + y * t) % n
     # (0, N) is N/h times the last basis row (0, h), a basis vector
-    g = n // basis.at(basis.rows - 1, 1)
-    group = FgAbGroup(basis.rows - 1, (g,) if g > 1 else ())
-    if basis.rows == 2:
-        index = basis.at(0, 0) * basis.at(1, 1)
-    else:
-        index = None
-    return SubgroupInfo(n, group, index, basis)
+    g = n // h
+    group = FgAbGroup(1 if f0 else 0, (g,) if g > 1 else ())
+    if not f0:
+        return SubgroupInfo(n, group, None, IntMatrix(1, 2, (0, h)))
+    if f0 < 0:
+        f0, t0 = -f0, -t0
+    return SubgroupInfo(n, group, f0 * h, IntMatrix(2, 2, (f0, t0 % h, 0, h)))
 
 
 def element_order(modulus: int, t: int) -> int:

@@ -98,7 +98,7 @@ class FormalClass(Value):
 
     @classmethod
     def single(cls, sym: ClassSymbol, coeff: int = 1) -> "FormalClass":
-        return cls.of([(sym, coeff)])
+        return cls(((sym, coeff),) if coeff else ())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -352,12 +352,13 @@ def generator_lift(ctx: ModuliContext) -> FormalClass:
     """
     ctx.require_h2_range()
     r = ctx.r
-    g, combo = 0, FormalClass.zero()
+    g, combo = 0, {}
 
     def step(sym):
         nonlocal g, combo
         g, x, y = ext_gcd(g, symbol_record(ctx, sym)[0])
-        combo = x * combo + y * FormalClass.single(sym)
+        combo = {s: x * c for s, c in combo.items()}
+        combo[sym] = combo.get(sym, 0) + y
 
     step(Lambda(0))
     step(Lambda(1))
@@ -372,7 +373,7 @@ def generator_lift(ctx: ModuliContext) -> FormalClass:
         raise errors.InternalConsistencyError(
             f"divisibilities of the named classes have common factor {g} at r = {r}"
         )
-    return combo
+    return FormalClass.of(combo.items())
 
 
 def _lambda_roots(ctx: ModuliContext, values: Sequence[int], lo: int, hi: int) -> list:

@@ -486,6 +486,49 @@ class TestSubgroupInfo:
             assert reference
 
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_basis_vs_general_hermite(self, data):
+        # the gcd chain in Z^2 against one general Hermite reduction of
+        # the same rows, torsion parts unreduced or negative
+        n = data.draw(st.one_of(divisors_of_24, st.integers(min_value=1, max_value=10**12)))
+        free = data.draw(
+            st.sampled_from(
+                [
+                    st.just(0),
+                    st.sampled_from([-1, 0, 1]),
+                    st.integers(min_value=-(10**9), max_value=10**9),
+                    st.one_of(st.just(0), st.integers(min_value=-(10**9), max_value=10**9)),
+                ]
+            )
+        )
+        torsion = st.integers(min_value=-3 * n, max_value=3 * n)
+        k = data.draw(st.integers(min_value=0, max_value=200))
+        rows = data.draw(st.lists(st.tuples(free, torsion), min_size=k, max_size=k))
+        info = subgroup_info(n, rows)
+        basis = hermite_normal_form([list(row) for row in rows] + [(0, n)], 2)
+        assert info.basis == basis
+        h = basis.at(basis.rows - 1, 1)
+        assert info.group == FgAbGroup(basis.rows - 1, (n // h,) if n // h > 1 else ())
+        assert info.index == (basis.at(0, 0) * h if basis.rows == 2 else None)
+
+    def test_no_general_hermite(self, monkeypatch):
+        def refuse(rows, cols):
+            raise AssertionError("subgroup_info ran a general Hermite reduction")
+
+        monkeypatch.setattr(abelian, "hermite_normal_form", refuse)
+        rng = random.Random(2000)
+        k, n = 2000, 24
+        gens = [(rng.randint(-(10**6), 10**6), rng.randint(-100, 100)) for _ in range(k)]
+        info = subgroup_info(n, gens)
+        # each generator is a member, and the basis is in Hermite shape
+        assert all(info.contains(x) for x in gens)
+        (f0, t0), (z, h) = info.basis.to_rows()
+        assert f0 > 0 and z == 0 and n % h == 0 and 0 <= t0 < h
+        assert info.index == f0 * h
+        assert f0 == gcd(*(f for f, _ in gens))
+
+
 def _hermite_kernel(hom: HomZN) -> IntMatrix:
     """The kernel by one general Hermite reduction (Cohen, A Course in
     Computational Algebraic Number Theory, 2.4): reduce the rows

@@ -506,6 +506,19 @@ def _lambda_free(r, a):
     return u_r(r) * (r * r - 6 * a * r + 6 * a * a) // 12
 
 
+class TestFormalClassSingle:
+    @given(
+        st.sampled_from([Lambda, Kappa1, lambda a: MU]),
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.sampled_from([0, 1, -1, 10**18, -(10**18)]),
+    )
+    def test_matches_of(self, kind, a, c):
+        sym = kind(a)
+        x = FormalClass.single(sym, c)
+        assert x == FormalClass.of([(sym, c)])
+        assert x.is_zero() == (c == 0)
+
+
 class TestGeneratorLift:
     def test_matches_scan_exhaustive(self):
         for r in range(2, 301):

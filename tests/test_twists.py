@@ -291,11 +291,11 @@ class TestThetaWork:
     function at every module that binds it."""
 
     @staticmethod
-    def _count(monkeypatch, query):
+    def _count(monkeypatch, query, names=("kernel_lattice", "group_from_presentation", "subgroup_info")):
         from rspin import abelian, classes, twists
 
         calls = {}
-        for name in ("kernel_lattice", "group_from_presentation", "subgroup_info"):
+        for name in names:
             real = getattr(abelian, name)
 
             def counting(*args, _name=name, _real=real):
@@ -320,3 +320,24 @@ class TestThetaWork:
         ctx = ModuliContext(12, 13, 0)
         calls = self._count(monkeypatch, lambda: picard_report(ctx))
         assert calls == {"kernel_lattice": 1, "group_from_presentation": 1, "subgroup_info": 1}
+
+    @pytest.mark.parametrize("r", [12, 10**12 + 1])
+    @pytest.mark.parametrize("command", ["report", "theta", "eval"])
+    def test_no_general_hermite(self, monkeypatch, capsys, command, r):
+        # the fixed pair's queries take kernels and subgroups by steps in
+        # Z^2; general Hermite form is a reference for the tests only
+        from rspin import cli
+
+        argv = [command, "--r", str(r), "--g", str(stable_genus(r))]
+        if r % 2 == 0:
+            argv += ["--eps", "0"]
+        if command == "eval":
+            argv.append(f"3*lambda(1/{r}) + kappa1")
+        codes = []
+        calls = self._count(
+            monkeypatch, lambda: codes.append(cli.main(argv)), names=("hermite_normal_form", "subgroup_info")
+        )
+        assert codes == [0], capsys.readouterr().err
+        assert "hermite_normal_form" not in calls
+        # the counter is live: report and theta check the pair's index
+        assert calls.get("subgroup_info", 0) == (0 if command == "eval" else 1 if command == "report" else 2)
