@@ -21,8 +21,10 @@ from math import gcd, lcm, prod
 class Value:
     """Base of rspin's immutable value classes.
 
-    The fields are the class's __slots__, in order, each set once by its
-    __init__ through object.__setattr__. Two values are equal when they
+    The fields are the class's __slots__, in order, each set once by
+    __init__ through object.__setattr__. The default __init__ takes one
+    argument per field, in that order; a class that checks its input, or
+    one on a hot path, writes its own. Two values are equal when they
     are of the same class and their _key() tuples (by default every
     field) are equal, and the hash is that of _key(). Assigning or
     deleting a field raises AttributeError. repr is Name(field=value, ...)
@@ -31,6 +33,12 @@ class Value:
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{self.__class__.__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -113,11 +121,6 @@ class SmithForm(Value):
     """U @ A @ V == S with U, V unimodular and S diagonal, d_i | d_{i+1}."""
 
     __slots__ = ("s", "u", "v")
-
-    def __init__(self, s: IntMatrix, u: IntMatrix, v: IntMatrix):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
 
 
 def _find_pivot(s, t, m, n):
@@ -686,12 +689,6 @@ class SubgroupInfo(Value):
     """
 
     __slots__ = ("ambient_torsion", "group", "index", "basis")
-
-    def __init__(self, ambient_torsion: int, group: FgAbGroup, index: int | None, basis: IntMatrix):
-        object.__setattr__(self, "ambient_torsion", ambient_torsion)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "basis", basis)
 
     def contains(self, element) -> bool:
         free, tors = element

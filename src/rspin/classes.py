@@ -15,7 +15,6 @@ from . import errors
 from .abelian import (
     FgAbGroup,
     HomZN,
-    IntMatrix,
     SubgroupInfo,
     Value,
     element_order,
@@ -401,11 +400,6 @@ class CanonicalCoords(Value):
 
     __slots__ = ("d", "tau", "torsion_order")
 
-    def __init__(self, d: int, tau: int, torsion_order: int):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "torsion_order", torsion_order)
-
     @property
     def tau_reduced(self) -> int:
         """tau rescaled to an element of Z/N."""
@@ -511,10 +505,6 @@ class Presentation(Value):
 
     __slots__ = ("generators", "relations")
 
-    def __init__(self, generators: tuple, relations: IntMatrix):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
-
     def group(self) -> FgAbGroup:
         return group_from_presentation(len(self.generators), self.relations)
 
@@ -593,7 +583,8 @@ def default_generators(ctx: ModuliContext) -> tuple:
 
 def _fixed_pair(ctx: ModuliContext) -> tuple:
     """(gens, hom, info) for the fixed pair, its coordinate map and the
-    subgroup it generates, checked to be all of H^2."""
+    subgroup it generates, checked to be all of H^2. default_generators,
+    default_presentation and twists.h2_theta_subgroup share it."""
     r = ctx.r
     if r % 2:
         syms = (Lambda(r), Lambda(1))

@@ -62,24 +62,22 @@ class _Parser:
             raise errors.ParseError(f"expected {op!r}", pos)
 
     def parse(self) -> FormalClass:
-        terms = []
+        pairs = []
         sign = 1
         if self.peek()[:2] == ("op", "-"):
             self.take()
             sign = -1
-        terms.append(self.term(sign))
+        pairs.append(self.term(sign))
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             _, op, _ = self.take()
-            terms.append(self.term(1 if op == "+" else -1))
+            pairs.append(self.term(1 if op == "+" else -1))
         tag, _, pos = self.peek()
         if tag != "end":
             raise errors.ParseError("trailing input", pos)
-        total = FormalClass.zero()
-        for t in terms:
-            total = total + t
-        return total
+        return FormalClass.of(p for p in pairs if p)
 
-    def term(self, sign: int) -> FormalClass:
+    def term(self, sign: int):
+        """The term's (symbol, coefficient) pair, or None for the bare 0."""
         tag, val, pos = self.peek()
         coeff = 1
         if tag == "int":
@@ -91,11 +89,10 @@ class _Parser:
             elif nxt[0] != "name":
                 if coeff != 0:
                     raise errors.ParseError("a bare integer term must be 0", pos)
-                return FormalClass.zero()
+                return None
         elif tag != "name":
             raise errors.ParseError("expected a class name or integer", pos)
-        sym = self.atom()
-        return FormalClass.single(sym, sign * coeff)
+        return self.atom(), sign * coeff
 
     def atom(self):
         tag, name, pos = self.take()

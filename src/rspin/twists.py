@@ -10,7 +10,7 @@ from math import gcd
 from . import classes as cl
 from . import errors
 from .abelian import FgAbGroup, HomZN, Value, element_order, kernel_lattice, subgroup_info
-from .classes import ClassSymbol, FormalClass, ModuliContext, Presentation
+from .classes import ClassSymbol, FormalClass, ModuliContext
 
 
 class TwistInput(Value):
@@ -65,10 +65,6 @@ class ZrSubgroup(Value):
     which is r itself for the zero subgroup."""
 
     __slots__ = ("modulus", "generator")
-
-    def __init__(self, modulus: int, generator: int):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "generator", generator)
 
     @classmethod
     def generated_by(cls, modulus: int, element: int) -> "ZrSubgroup":
@@ -150,35 +146,34 @@ class ThetaSubgroup(Value):
 
     __slots__ = ("generators", "presentation", "group", "index")
 
-    def __init__(self, generators: tuple, presentation: Presentation, group: FgAbGroup, index: int):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "index", index)
-
 
 def h2_theta_subgroup(ctx: ModuliContext, generators: Sequence[FormalClass] | None = None) -> ThetaSubgroup:
     """The kernel of the fiber restriction, expressed in the supplied
-    generating classes of the ambient H^2."""
+    generating classes of the ambient H^2. The generators are mapped to
+    coordinates once: a subgroup generator is a kernel row's combination
+    sum c_j x_j, so it maps to sum c_j hom(x_j), over the nonzero c_j."""
     ctx.require_nonempty()
     ctx.require_h2_range()
     if generators is None:
-        gens = cl.default_generators(ctx)
+        gens, hom, _ = cl._fixed_pair(ctx)
     else:
         gens = tuple(generators)
-        cl.require_generating(ctx, cl.coords_hom(ctx, gens))
+        hom = cl.coords_hom(ctx, gens)
+        cl.require_generating(ctx, hom)
     evals = [eval_on_fiber(ctx, x) for x in gens]
     coeff_rows = kernel_lattice(HomZN(ctx.r, tuple((0, e) for e in evals)))
-    sub_gens = tuple(
-        sum((c * x for c, x in zip(row, gens) if c), FormalClass.zero()) for row in coeff_rows.to_rows()
+    images = hom.generator_images
+    rows = [[(c, j) for j, c in enumerate(row) if c] for row in coeff_rows.to_rows()]
+    sub_gens = tuple(FormalClass.of((s, c * k) for c, j in row for s, k in gens[j].terms) for row in rows)
+    sub_hom = HomZN(
+        ctx.torsion_order,
+        tuple((sum(c * images[j][0] for c, j in row), sum(c * images[j][1] for c, j in row)) for row in rows),
     )
-
-    hom = cl.coords_hom(ctx, sub_gens)
-    info = subgroup_info(ctx.torsion_order, hom.generator_images)
+    info = subgroup_info(ctx.torsion_order, sub_hom.generator_images)
     image_order = element_order(ctx.r, gcd(*evals))
     if info.index != image_order:
         raise errors.InternalConsistencyError(
             f"subgroup index {info.index} does not match the fiber image order {image_order}"
         )
-    pres = cl.kernel_presentation(sub_gens, hom, info.group)
+    pres = cl.kernel_presentation(sub_gens, sub_hom, info.group)
     return ThetaSubgroup(sub_gens, pres, info.group, info.index)

@@ -343,6 +343,24 @@ class TestGroupFromPresentation:
         assert g == FgAbGroup.from_orders(orders, free_rank=2) == smith_group(a)
         assert g.invariant_factors == (2, 2, 4, 12, 360, 10800)
 
+    @pytest.mark.parametrize("t", range(24))
+    def test_adversarial_kernel(self, t):
+        # rspin.abelian is general-purpose (README): the kernel of the map
+        # with free parts 5*6^i (k = 10) and torsion part t into Z + Z/24
+        # leaves, at t = 1, a 9-row residual after its unit pivots, which
+        # takes the rank, minor and modular steps
+        hom = HomZN(24, tuple((5 * 6**i, t) for i in range(10)))
+        kernel = kernel_lattice(hom)
+        with (
+            mock.patch.object(abelian, "_rank_and_minor", wraps=abelian._rank_and_minor) as minor,
+            mock.patch.object(abelian, "_cokernel_mod", wraps=abelian._cokernel_mod) as modular,
+        ):
+            got = group_from_presentation(10, kernel)
+        assert got == subgroup_info(24, hom.generator_images).group
+        if t == 1:
+            assert len(abelian._unit_pivot_residual(kernel)[0]) == 9
+            assert minor.call_count == modular.call_count == 1
+
 
 def modular_residual(a: IntMatrix) -> bool:
     """Whether a's residual after unit pivots takes the steps mod d."""

@@ -4,7 +4,8 @@ Each argv runs through cli.main in process; the SHA-256 covers the argv,
 stdout, stderr and exit code of every run, in order. A change that means
 to alter some output updates DIGEST and lists the argvs whose digest
 moved: running this file as a script prints one digest per argv, so two
-checkouts can be compared with diff.
+checkouts can be compared with diff, and exits 1 when the combined
+digest differs from DIGEST.
 
 The list: report, theta, eval and twist, text and --json, at r = 2..40,
 at the stable genus and at g = 7, with both eps for even r; eval and
@@ -73,5 +74,11 @@ def test_golden_digest():
 
 
 if __name__ == "__main__":
+    total = hashlib.sha256()
     for argv in _argvs():
-        sys.stdout.write(f"{hashlib.sha256(_record(argv)).hexdigest()}  {' '.join(argv)}\n")
+        record = _record(argv)
+        total.update(record)
+        sys.stdout.write(f"{hashlib.sha256(record).hexdigest()}  {' '.join(argv)}\n")
+    if total.hexdigest() != DIGEST:
+        sys.stderr.write(f"combined digest {total.hexdigest()} differs from DIGEST {DIGEST}\n")
+        sys.exit(1)

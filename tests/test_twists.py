@@ -261,29 +261,51 @@ class TestH2ThetaSubgroup:
     @pytest.mark.parametrize("r,eps", [(r, eps) for r in range(2, 49) for eps in ((0, 1) if r % 2 == 0 else (None,))])
     def test_generators_are_the_dense_sums(self, monkeypatch, r, eps):
         # on all named classes: each generator is sum c_i x_i over a kernel
-        # row c, zero coefficients included. The subgroup's generators are
-        # the second tuple coords_hom sees, read before the index check,
-        # which fails at many r (ROADMAP item 0).
-        from rspin import abelian, classes
+        # row c, zero coefficients included. The index check fails at many
+        # r (ROADMAP item 0); there the subgroup is read from what
+        # subgroup_info receives, which must be the coordinates of the sums.
+        from rspin import abelian, classes, twists
 
         ctx = ModuliContext(r, stable_genus(r), eps)
         gens = tuple(FormalClass.single(s) for s in classes.default_symbols(r))
         seen = []
-        real = classes.coords_hom
+        real = twists.subgroup_info
 
-        def recording(ctx, gens):
-            seen.append(tuple(gens))
-            return real(ctx, gens)
+        def recording(n, images):
+            seen.append(images)
+            return real(n, images)
 
-        monkeypatch.setattr(classes, "coords_hom", recording)
+        monkeypatch.setattr(twists, "subgroup_info", recording)
         try:
             got = h2_theta_subgroup(ctx, gens).generators
         except errors.InternalConsistencyError:
-            got = seen[1]
+            got = None
         evals = tuple((0, eval_on_fiber(ctx, x)) for x in gens)
         rows = abelian.kernel_lattice(abelian.HomZN(r, evals)).to_rows()
         dense = tuple(sum((c * x for c, x in zip(row, gens)), FormalClass.zero()) for row in rows)
-        assert len(seen) == 2 and got == seen[1] == dense
+        assert seen == [classes.coords_hom(ctx, dense).generator_images]
+        assert got in (None, dense)
+
+    @pytest.mark.parametrize("r", range(2, 81))
+    def test_coordinates_are_linear(self, monkeypatch, r):
+        # the subgroup's coordinate map is built from the ambient one, row
+        # by row; mapping its generators afresh must give the same images
+        from rspin import classes, twists
+
+        real, returned = twists.subgroup_info, 0
+        for eps in (None,) if r % 2 else (0, 1):
+            ctx = ModuliContext(r, stable_genus(r), eps)
+            for gens in (None, tuple(FormalClass.single(s) for s in classes.default_symbols(r))):
+                seen = []
+                monkeypatch.setattr(twists, "subgroup_info", lambda n, images: seen.append(images) or real(n, images))
+                try:
+                    sub = h2_theta_subgroup(ctx, gens)
+                except errors.InternalConsistencyError:
+                    continue
+                assert sub.presentation.generators == sub.generators
+                assert [classes.coords_hom(ctx, sub.generators).generator_images] == seen
+                returned += 1
+        assert returned
 
 
 class TestThetaWork:
@@ -291,12 +313,12 @@ class TestThetaWork:
     function at every module that binds it."""
 
     @staticmethod
-    def _count(monkeypatch, query, names=("kernel_lattice", "group_from_presentation", "subgroup_info")):
+    def _count(monkeypatch, query, names=("kernel_lattice", "group_from_presentation", "subgroup_info"), home="abelian"):
         from rspin import abelian, classes, twists
 
         calls = {}
         for name in names:
-            real = getattr(abelian, name)
+            real = getattr({"abelian": abelian, "classes": classes}[home], name)
 
             def counting(*args, _name=name, _real=real):
                 calls[_name] = calls.get(_name, 0) + 1
@@ -341,3 +363,17 @@ class TestThetaWork:
         assert "hermite_normal_form" not in calls
         # the counter is live: report and theta check the pair's index
         assert calls.get("subgroup_info", 0) == (0 if command == "eval" else 1 if command == "report" else 2)
+
+    @pytest.mark.parametrize("r", [12, 10**12 + 1])
+    def test_theta_maps_its_classes_once(self, monkeypatch, capsys, r):
+        # the subgroup's coordinates come from the pair's, so one query
+        # lifts the free generator once and maps classes once
+        from rspin import cli
+
+        argv = ["theta", "--r", str(r), "--g", str(stable_genus(r))] + (["--eps", "0"] if r % 2 == 0 else [])
+        codes = []
+        calls = self._count(
+            monkeypatch, lambda: codes.append(cli.main(argv)), names=("generator_lift", "coords_hom"), home="classes"
+        )
+        assert codes == [0], capsys.readouterr().err
+        assert calls == {"generator_lift": 1, "coords_hom": 1}

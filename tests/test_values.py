@@ -167,6 +167,23 @@ def test_hom_reduces_torsion_mod_n():
     assert hom == HomZN(6, ((2, 1), (-1, 5), (0, 0)))
 
 
+@pytest.mark.parametrize(
+    "name", ["SmithForm", "SubgroupInfo", "CanonicalCoords", "Presentation", "ZrSubgroup", "ThetaSubgroup"]
+)
+def test_storage_only_classes_take_one_argument_per_field(name):
+    # these classes use Value's initializer: fields in __slots__ order
+    fields, build, _, _ = VALUES[name]
+    a = build()
+    cls = type(a)
+    values = [getattr(a, f) for f in fields]
+    assert "__init__" not in vars(cls)
+    assert cls(*values) == a
+    for wrong in (values[:-1], values + [None], []):
+        with pytest.raises(TypeError) as exc:
+            cls(*wrong)
+        assert str(exc.value) == f"{name} takes {len(fields)} fields, got {len(wrong)}"
+
+
 def test_keyword_arguments_and_defaults():
     assert FgAbGroup(free_rank=2) == FgAbGroup(2, ())
     assert ClassSymbol("mu") == MU
