@@ -28,8 +28,8 @@ class Value:
     are of the same class and their _key() tuples (by default every
     field) are equal, and the hash is that of _key(). Assigning or
     deleting a field raises AttributeError. repr is Name(field=value, ...)
-    over every field. A class on a hot path writes __eq__ and __hash__
-    by hand.
+    over every field, unless the class writes its own, as ModuliContext
+    does. A class on a hot path writes __eq__ and __hash__ by hand.
     """
 
     __slots__ = ()

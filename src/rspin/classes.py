@@ -174,9 +174,11 @@ class ModuliContext(Value):
     eps is the Arf invariant and must be supplied exactly when r is even.
     allow_unstable disables the genus guards; results below the stable
     range are unverified. It takes no part in equality or hashing.
+    chi = 2 - 2g, u = u_r(r) and the torsion order N of the stable H^2
+    are stored once here, and left out of equality, hashing and repr.
     """
 
-    __slots__ = ("r", "g", "eps", "allow_unstable")
+    __slots__ = ("r", "g", "eps", "allow_unstable", "chi", "u", "torsion_order")
 
     H1_STABLE_GENUS = 6
     H2_STABLE_GENUS = 9
@@ -195,22 +197,15 @@ class ModuliContext(Value):
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "allow_unstable", allow_unstable)
+        object.__setattr__(self, "chi", 2 - 2 * g)
+        object.__setattr__(self, "u", u_r(r))
+        object.__setattr__(self, "torsion_order", torsion_order_of(r))
 
     def _key(self) -> tuple:
         return (self.r, self.g, self.eps)
 
-    @property
-    def chi(self) -> int:
-        return 2 - 2 * self.g
-
-    @property
-    def u(self) -> int:
-        return u_r(self.r)
-
-    @property
-    def torsion_order(self) -> int:
-        """Order N of the torsion subgroup of the stable H^2."""
-        return torsion_order_of(self.r)
+    def __repr__(self):
+        return f"ModuliContext(r={self.r!r}, g={self.g!r}, eps={self.eps!r}, allow_unstable={self.allow_unstable!r})"
 
     @property
     def nonempty(self) -> bool:
@@ -243,13 +238,14 @@ class ModuliContext(Value):
             )
 
 
-def stable_genus(r: int, at_least: int = ModuliContext.H2_STABLE_GENUS) -> int:
-    """Smallest g >= at_least with a nonempty genus-g moduli space."""
+def stable_genus(r: int) -> int:
+    """Smallest g >= ModuliContext.H2_STABLE_GENUS with nonempty moduli."""
     if r < 2:
         raise ValueError("r must be >= 2")
     # r divides 2 - 2g exactly when step divides g - 1
     step = r if r % 2 else r // 2
-    return at_least + (1 - at_least) % step
+    g0 = ModuliContext.H2_STABLE_GENUS
+    return g0 + (1 - g0) % step
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +268,8 @@ def symbol_record(ctx: ModuliContext, sym: ClassSymbol, arf: int | None = None) 
         kappa1(a/r)   u a^2                    0             2a^2 chi/r
         mu            -u r^2/48                1             arf r/2
 
-    u = u_r(r), chi = 2 - 2g, arf defaults to eps, and mu needs even r.
+    u = u_r(r) and chi = 2 - 2g are read from the context, which computes
+    them once; arf defaults to eps, and mu needs even r.
     The fiber weight is the beta-multiple a class restricts to on the
     gerbe's fiber (rspin.twists). That column does not vanish on the
     relations between the named classes; ROADMAP item 0 replaces it.
@@ -427,8 +424,9 @@ def _coords(ctx: ModuliContext, x: FormalClass, lift_phi) -> CanonicalCoords:
 
 def equals(ctx: ModuliContext, x: FormalClass, y: FormalClass) -> bool:
     """Equality in H^2 (valid because the named classes generate and the
-    detection map is injective on torsion)."""
-    return canonical_coords(ctx, x) == canonical_coords(ctx, y)
+    detection map is injective on torsion), both mapped by one lift."""
+    cx, cy = coords_hom(ctx, (x, y)).generator_images
+    return cx == cy
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +570,7 @@ def default_presentation(ctx: ModuliContext) -> Presentation:
 def default_generators(ctx: ModuliContext) -> tuple:
     """The fixed generating pair of H^2 for the residue of r:
     (lambda, lambda(1/r)) for r odd, (lambda(2/r), mu) for r = 2 mod 4,
-    and (mu, lambda(1/r)) for r = 0 mod 4.
-
-    Each pair has coprime free coordinates, and its phi-determinant
-    d1*phi2 - d2*phi1 is 24/N times a unit mod N, so it generates. One
-    index test checks this; a pair that fails is an internal error.
+    and (mu, lambda(1/r)) for r = 0 mod 4, checked by _fixed_pair.
     """
     return _fixed_pair(ctx)[0]
 
@@ -584,7 +578,12 @@ def default_generators(ctx: ModuliContext) -> tuple:
 def _fixed_pair(ctx: ModuliContext) -> tuple:
     """(gens, hom, info) for the fixed pair, its coordinate map and the
     subgroup it generates, checked to be all of H^2. default_generators,
-    default_presentation and twists.h2_theta_subgroup share it."""
+    default_presentation and twists.h2_theta_subgroup share it.
+
+    Each pair has coprime free coordinates, and its phi-determinant
+    d1*phi2 - d2*phi1 is 24/N times a unit mod N, so it generates. One
+    index test checks this; a pair that fails is an internal error.
+    """
     r = ctx.r
     if r % 2:
         syms = (Lambda(r), Lambda(1))

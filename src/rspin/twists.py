@@ -68,8 +68,7 @@ class ZrSubgroup(Value):
 
     @classmethod
     def generated_by(cls, modulus: int, element: int) -> "ZrSubgroup":
-        d = gcd(element % modulus, modulus)
-        return cls(modulus, d if d else modulus)
+        return cls(modulus, gcd(element % modulus, modulus))
 
     @property
     def order(self) -> int:

@@ -158,6 +158,20 @@ class TestEquals:
         z = FormalClass.of([(MU, 5)])
         assert equals(ctx, x + z, y + z) == verdict
 
+    @pytest.mark.parametrize("r", [3, 12])
+    def test_one_lift(self, monkeypatch, r):
+        # both sides are mapped through one generator lift
+        ctx = ctx_for(r)
+        x, t = single(Lambda(1)), torsion_generator(ctx)
+        cases = [(x, x, True), (x, single(Kappa1(1)), False), (x, x + t, False), (x, x + ctx.torsion_order * t, True)]
+        calls = []
+        lift = cl.generator_lift
+        monkeypatch.setattr(cl, "generator_lift", lambda c: calls.append(c) or lift(c))
+        for a, b, same in cases:
+            calls.clear()
+            assert equals(ctx, a, b) is same
+            assert len(calls) == 1
+
 
 class TestTorsionClasses:
     def test_r2_tab(self):
@@ -627,6 +641,11 @@ class TestContext:
             g = stable_genus(r)
             assert g >= 9 and (2 - 2 * g) % r == 0
         for r in range(2, 501):
-            for at_least in (2, 9, 17):
-                brute = next(g for g in range(at_least, at_least + r + 1) if (2 - 2 * g) % r == 0)
-                assert stable_genus(r, at_least) == brute
+            brute = next(g for g in range(9, 9 + r + 1) if (2 - 2 * g) % r == 0)
+            assert stable_genus(r) == brute
+
+    @given(st.integers(2, 10**12), st.integers(2, 10**6), st.sampled_from([0, 1]))
+    def test_stored_fields(self, r, g, eps):
+        # chi, u and N are stored by __init__, equal to their closed forms
+        ctx = ModuliContext(r, g, None if r % 2 else eps)
+        assert (ctx.chi, ctx.u, ctx.torsion_order) == (2 - 2 * g, u_r(r), cl.torsion_order_of(r))

@@ -309,12 +309,12 @@ class TestH2ThetaSubgroup:
 
 
 class TestThetaWork:
-    """Calls into the abelian layer per query, counted by wrapping each
-    function at every module that binds it."""
+    """Calls into the abelian and classes layers per query, counted by
+    wrapping each function at every module that binds it."""
 
     @staticmethod
     def _count(monkeypatch, query, names=("kernel_lattice", "group_from_presentation", "subgroup_info"), home="abelian"):
-        from rspin import abelian, classes, twists
+        from rspin import abelian, classes, topology, twists
 
         calls = {}
         for name in names:
@@ -324,7 +324,7 @@ class TestThetaWork:
                 calls[_name] = calls.get(_name, 0) + 1
                 return _real(*args)
 
-            for mod in (abelian, classes, twists):
+            for mod in (abelian, classes, topology, twists):
                 if getattr(mod, name, None) is real:
                     monkeypatch.setattr(mod, name, counting)
         query()
@@ -377,3 +377,28 @@ class TestThetaWork:
         )
         assert codes == [0], capsys.readouterr().err
         assert calls == {"generator_lift": 1, "coords_hom": 1}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--r", "12", "--eps", "0"],
+            ["report", "--r", str(10**12), "--eps", "0"],
+            ["theta", "--r", "12", "--eps", "0"],
+            ["theta", "--r", str(10**12 + 1)],
+            ["eval", "--r", "3", "--g", "10", "3*lambda(1/3) + lambda"],
+        ],
+        ids=["report-12", "report-1e12", "theta-12", "theta-1e12+1", "eval-3"],
+    )
+    def test_context_computed_once(self, monkeypatch, capsys, argv):
+        # the query's one ModuliContext stores u and N: u_r runs once, and
+        # torsion_order_of once there and once inside u_r
+        from rspin import cli
+
+        if "--g" not in argv:
+            argv = argv + ["--g", str(stable_genus(int(argv[2])))]
+        codes = []
+        calls = self._count(
+            monkeypatch, lambda: codes.append(cli.main(argv)), names=("torsion_order_of", "u_r"), home="classes"
+        )
+        assert codes == [0], capsys.readouterr().err
+        assert calls == {"torsion_order_of": 2, "u_r": 1}

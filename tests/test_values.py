@@ -67,7 +67,7 @@ VALUES = {
         "FormalClass(terms=((ClassSymbol(kind='lambda', power=1), 2), (ClassSymbol(kind='mu', power=0), -1)))",
     ),
     "ModuliContext": (
-        ("r", "g", "eps", "allow_unstable"),
+        ("r", "g", "eps", "allow_unstable", "chi", "u", "torsion_order"),
         lambda: ModuliContext(4, 9, 1),
         lambda: ModuliContext(4, 9, 0),
         "ModuliContext(r=4, g=9, eps=1, allow_unstable=False)",
