@@ -23,13 +23,14 @@ class Value:
 
     The fields are the class's __slots__, in order, each set once by
     __init__ through object.__setattr__. The default __init__ takes one
-    argument per field, in that order; a class that checks its input, or
-    one on a hot path, writes its own. Two values are equal when they
-    are of the same class and their _key() tuples (by default every
-    field) are equal, and the hash is that of _key(). Assigning or
-    deleting a field raises AttributeError. repr is Name(field=value, ...)
-    over every field, unless the class writes its own, as ModuliContext
-    does. A class on a hot path writes __eq__ and __hash__ by hand.
+    argument per field, in that order. A class that checks or derives its
+    fields does that and then calls Value.__init__; only a class built
+    several times per query stores its own fields. Two values are equal when
+    they are of the same class and their _key() tuples (by default every
+    field) are equal, and the hash is that of _key(). Assigning or deleting
+    a field raises AttributeError. repr is Name(field=value, ...) over every
+    field, unless the class writes its own, as ModuliContext does. A class
+    on a hot path writes __eq__ and __hash__ by hand.
     """
 
     __slots__ = ()
@@ -277,14 +278,6 @@ class FgAbGroup(Value):
         object.__setattr__(self, "invariant_factors", invariant_factors)
 
     @classmethod
-    def trivial(cls) -> "FgAbGroup":
-        return cls(0, ())
-
-    @classmethod
-    def free(cls, rank: int) -> "FgAbGroup":
-        return cls(rank, ())
-
-    @classmethod
     def cyclic(cls, n: int) -> "FgAbGroup":
         if n < 1:
             raise ValueError("cyclic order must be >= 1")
@@ -379,7 +372,7 @@ def group_from_presentation(n_generators: int, relations: IntMatrix) -> FgAbGrou
         return FgAbGroup(free - len(nonzero), tuple(x for x in nonzero if x > 1))
     rank, d = _rank_and_minor(dense)
     if d == 1:
-        return FgAbGroup.free(free - rank)
+        return FgAbGroup(free - rank)
     chain = FgAbGroup.from_orders(_cokernel_mod(dense, d)).invariant_factors
     return FgAbGroup(free - rank, chain[: len(chain) - (len(cols) - rank)])
 

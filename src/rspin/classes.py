@@ -92,10 +92,6 @@ class FormalClass(Value):
         return cls(tuple(sorted(((s, c) for s, c in acc.items() if c), key=lambda p: p[0].sort_key())))
 
     @classmethod
-    def zero(cls) -> "FormalClass":
-        return cls(())
-
-    @classmethod
     def single(cls, sym: ClassSymbol, coeff: int = 1) -> "FormalClass":
         return cls(((sym, coeff),) if coeff else ())
 
@@ -113,7 +109,7 @@ class FormalClass(Value):
 
     def __rmul__(self, k: int) -> "FormalClass":
         if k == 0:
-            return FormalClass.zero()
+            return FormalClass()
         return FormalClass(tuple((s, k * c) for s, c in self.terms))
 
 
@@ -193,13 +189,7 @@ class ModuliContext(Value):
                 raise errors.EpsParityError(f"r = {r} is even: eps must be 0 or 1")
         elif eps is not None:
             raise errors.EpsParityError(f"r = {r} is odd: eps must be omitted")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "allow_unstable", allow_unstable)
-        object.__setattr__(self, "chi", 2 - 2 * g)
-        object.__setattr__(self, "u", u_r(r))
-        object.__setattr__(self, "torsion_order", torsion_order_of(r))
+        Value.__init__(self, r, g, eps, allow_unstable, 2 - 2 * g, u_r(r), torsion_order_of(r))
 
     def _key(self) -> tuple:
         return (self.r, self.g, self.eps)

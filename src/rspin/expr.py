@@ -17,36 +17,30 @@ import re
 from . import errors
 from .classes import FormalClass, Kappa1, Lambda, MU
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(lambda|kappa1|mu)|([()+\-*/]))")
+_TOKEN = re.compile(r"(\d+)|(lambda|kappa1|mu)|([()+\-*/])|(\S)")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise errors.ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group(1):
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), m.start(2)))
-        elif m.group(3):
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        num, name, op, bad = m.groups()
+        if bad:
+            raise errors.ParseError(f"unexpected character {bad!r}", m.start())
+        if num:
+            tokens.append(("int", int(num), m.start()))
+        elif name:
+            tokens.append(("name", name, m.start()))
+        else:
+            tokens.append(("op", op, m.start()))
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, r: int, r_even: bool):
+    def __init__(self, text: str, r: int):
         self.tokens = _tokenize(text)
         self.i = 0
         self.r = r
-        self.r_even = r_even
 
     def peek(self):
         return self.tokens[self.i]
@@ -99,7 +93,7 @@ class _Parser:
         if tag != "name":
             raise errors.ParseError("expected lambda, kappa1 or mu", pos)
         if name == "mu":
-            if not self.r_even:
+            if self.r % 2:
                 raise errors.ParseError(f"mu is not defined for odd r = {self.r}", pos)
             return MU
         power = self.r
@@ -128,4 +122,4 @@ class _Parser:
 
 def parse_class(text: str, r: int) -> FormalClass:
     """Parse an expression like "3*lambda(1/4) - mu" in a given r."""
-    return _Parser(text, r, r % 2 == 0).parse()
+    return _Parser(text, r).parse()

@@ -30,7 +30,7 @@ def pi0_mtspin(r: int):
     if r < 1:
         raise ValueError("r must be >= 1")
     if r % 2:
-        return FgAbGroup.free(1), 2 * r
+        return FgAbGroup(1), 2 * r
     return FgAbGroup(1, (2,)), r
 
 
@@ -48,7 +48,7 @@ def xr_cohomology(r: int, degree: int) -> FgAbGroup:
     if r < 2:
         raise ValueError("r must be >= 2")
     if degree < 1 or degree % 2 == 0:
-        return FgAbGroup.trivial()
+        return FgAbGroup(0)
     i = (degree - 1) // 2
     return FgAbGroup.cyclic(r ** (i + 1))
 

@@ -26,9 +26,7 @@ class TwistInput(Value):
                 raise errors.EpsParityError("arf must be 0 or 1 when r is even")
         elif arf is not None:
             raise errors.EpsParityError("arf must be omitted when r is odd")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "arf", arf)
-        object.__setattr__(self, "beta_coefficient", beta_coefficient)
+        Value.__init__(self, ctx, arf, beta_coefficient)
 
 
 def _fiber_terms(ctx: ModuliContext, x: FormalClass, arf: int | None) -> list:

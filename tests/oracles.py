@@ -1,8 +1,10 @@
 """Reference computations the tests check rspin against, kept out of
 the library because no query needs them."""
 
+import re
 from fractions import Fraction
 
+from rspin import errors
 from rspin.abelian import IntMatrix
 
 
@@ -103,3 +105,31 @@ def rational_multiple_of_lambda(ctx, x) -> Fraction:
             half = ctx.r // 2
             total += c * (Fraction(_quad(ctx.r, -half), rr) + 12 * Fraction(_quad(ctx.r, half), rr)) / 2
     return total
+
+
+# The expression tokenizer as it was before it became one finditer pass,
+# which rspin.expr._tokenize is compared with.
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|(lambda|kappa1|mu)|([()+\-*/]))")
+
+
+def tokenize(text: str):
+    """Token list of text, skipping whitespace one character at a time."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise errors.ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.group(1):
+            tokens.append(("int", int(m.group(1)), m.start(1)))
+        elif m.group(2):
+            tokens.append(("name", m.group(2), m.start(2)))
+        elif m.group(3):
+            tokens.append(("op", m.group(3), m.start(3)))
+        pos = m.end()
+    tokens.append(("end", None, len(text)))
+    return tokens

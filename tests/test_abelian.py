@@ -256,7 +256,7 @@ class TestGroupFromPresentation:
         assert g == FgAbGroup(1, (4,))
 
     def test_free(self):
-        assert group_from_presentation(1, IntMatrix.from_rows([], cols=1)) == FgAbGroup.free(1)
+        assert group_from_presentation(1, IntMatrix.from_rows([], cols=1)) == FgAbGroup(1)
 
     def test_z6(self):
         g = group_from_presentation(2, IntMatrix.from_rows([[2, 0], [0, 3]]))
@@ -290,7 +290,7 @@ class TestGroupFromPresentation:
     def test_one_row_is_the_gcd(self, row):
         n = len(row)
         g = gcd(*row)
-        want = FgAbGroup.free(n) if g == 0 else FgAbGroup(n - 1, (g,) if g > 1 else ())
+        want = FgAbGroup(n) if g == 0 else FgAbGroup(n - 1, (g,) if g > 1 else ())
         assert group_from_presentation(n, IntMatrix.from_rows([row], cols=n)) == want
 
     @given(relation_matrices())
@@ -418,7 +418,7 @@ class TestSubgroupInfo:
     def test_index_two_in_z(self):
         info = subgroup_info(1, [(2, 0)])
         assert info.index == 2
-        assert info.group == FgAbGroup.free(1)
+        assert info.group == FgAbGroup(1)
 
     def test_index_two_with_torsion(self):
         # generators with the coordinates of the Hodge class and twice
@@ -732,5 +732,5 @@ class TestFgAbGroup:
         assert FgAbGroup.from_orders(orders, free_rank) == group_from_presentation(m, diag)
 
     def test_str(self):
-        assert str(FgAbGroup.trivial()) == "0"
+        assert str(FgAbGroup(0)) == "0"
         assert str(FgAbGroup(1, (4,))) == "Z ⊕ Z/4"

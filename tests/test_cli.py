@@ -3,8 +3,10 @@ and exit codes."""
 
 import argparse
 import gc
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +131,15 @@ class TestEval:
         assert code == 2
         assert "mu" in err
 
+    def test_leading_minus_after_double_dash(self, capsys):
+        # argparse reads an argument that starts with "-" and has no
+        # space as a flag
+        argv = ["eval", "--r", "3", "--g", "10"]
+        assert run_or_exit(capsys, *argv, "-lambda(1/3)")[0] == 2
+        code, out, err = run(capsys, *argv, "--", "-lambda(1/3)")
+        assert code == 0, err
+        assert "expression: -lambda(1/3)" in out
+
 
 class TestTheta:
     def test_r2_eps1(self, capsys):
@@ -216,6 +227,14 @@ class TestTwist:
         )
         assert code == 0
         assert "total shift: 0 mod 2" in out
+
+    def test_leading_minus_after_double_dash(self, capsys):
+        argv = ["twist", "--r", "4", "--g", "9", "--eps", "1", "--arf", "1", "--beta", "1"]
+        assert run_or_exit(capsys, *argv, "-mu")[0] == 2
+        code, out, err = run(capsys, *argv, "--", "-mu")
+        assert code == 0, err
+        assert "expression: -mu" in out
+        assert "total shift: 2 mod 4" in out
 
     def test_below_range_exit_3(self, capsys):
         code, out, err = run(capsys, "twist", "--r", "4", "--g", "5", "--eps", "1", "--arf", "1", "--beta", "1", "mu")
@@ -466,6 +485,27 @@ class TestUsage:
             cli.main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+class TestColor:
+    def test_bold_block_headings_on_a_terminal(self, monkeypatch):
+        argv = ["report", "--r", "2", "--g", "9", "--eps", "0"]
+        monkeypatch.setattr(sys, "stdout", _Terminal())
+        assert cli.main(argv) == 0
+        plain = sys.stdout.getvalue()
+        monkeypatch.delenv("RSPIN_NO_COLOR")
+        monkeypatch.setattr(sys, "stdout", _Terminal())
+        assert cli.main(argv) == 0
+        colored = sys.stdout.getvalue()
+        bold = re.findall(r"\x1b\[1m([^\x1b]*)\x1b\[0m", colored)
+        assert bold == ["context:", "divisibility:", "groups:", "torsion:", "presentation:"]
+        assert colored.replace("\x1b[1m", "").replace("\x1b[0m", "") == plain
+        assert "\x1b" not in plain
 
 
 class TestClosedPipe:

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from rspin import errors
 from rspin.classes import FormalClass, Kappa1, Lambda, MU, render_class
-from rspin.expr import parse_class
+from rspin.expr import _tokenize, parse_class
 
 
 class TestParse:
@@ -61,6 +62,26 @@ class TestParseErrors:
             parse_class("lambda + ", 2)
         assert exc.value.position == 9
         assert "position 9" in str(exc.value)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except errors.ParseError as e:
+        return ("error", str(e), e.position)
+
+
+# Pieces of expressions, whitespace of several kinds (Unicode spaces
+# among them), non-ASCII digits and characters no token starts with.
+_PIECES = ["lambda", "kappa1", "mu", "lamb", "kappa", "m", "(", ")", "+", "-", "*", "/", "0", "12",
+           " ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\u0663", "\uff17", "^", "x", "é", ".", "_"]
+
+
+class TestTokenizer:
+    @given(st.lists(st.sampled_from(_PIECES) | st.text(max_size=2), max_size=12).map("".join))
+    @settings(max_examples=500)
+    def test_matches_whitespace_loop(self, text):
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(oracles.tokenize, text)
 
 
 def formal_classes(r):
