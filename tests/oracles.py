@@ -1,11 +1,27 @@
 """Reference computations the tests check rspin against, kept out of
 the library because no query needs them."""
 
+import importlib.util
 import re
 from fractions import Fraction
+from pathlib import Path
 
 from rspin import errors
 from rspin.abelian import IntMatrix
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name: str):
+    """bench/<name>.py, loaded by path: bench/ is not a package."""
+    spec = importlib.util.spec_from_file_location(f"rspin_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The closed forms of the named classes, computed without rspin.
+bench_oracle = bench_module("oracle")
 
 
 def det(a: IntMatrix) -> int:
@@ -47,64 +63,6 @@ def rank(a: IntMatrix) -> int:
             m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         r += 1
     return r
-
-
-# The rules of the named classes written out one kind at a time, as the
-# reference rspin.classes.symbol_record is compared with.
-
-
-def _quad(r: int, a: int) -> int:
-    return r * r - 6 * a * r + 6 * a * a
-
-
-def symbol_free(ctx, sym) -> int:
-    """Free coordinate of one named class."""
-    u = ctx.u
-    if sym.kind == "lambda":
-        assert u * _quad(ctx.r, sym.power) % 12 == 0
-        return u * _quad(ctx.r, sym.power) // 12
-    if sym.kind == "kappa1":
-        return sym.power * sym.power * u
-    ctx.require_mu()
-    assert u * ctx.r * ctx.r % 48 == 0
-    return -(u * ctx.r * ctx.r // 48)
-
-
-def symbol_phi(ctx, sym) -> int:
-    """Mod-24 detection value of one named class."""
-    if sym.kind == "lambda":
-        return 2
-    if sym.kind == "kappa1":
-        return 0
-    ctx.require_mu()
-    return 1
-
-
-def fiber_value(ctx, sym, arf) -> int:
-    """Fiber weight of one named class at Arf invariant arf."""
-    if sym.kind == "lambda":
-        return 0
-    if sym.kind == "kappa1":
-        return 2 * sym.power * sym.power * (ctx.chi // ctx.r)
-    ctx.require_mu()
-    return arf * (ctx.r // 2)
-
-
-def rational_multiple_of_lambda(ctx, x) -> Fraction:
-    """q with x = q * lambda rationally, term by term; mu by its
-    half-integral identity 2 mu = lambda(-r/2 / r) + 12 lambda(r/2 / r)."""
-    total = Fraction(0)
-    rr = ctx.r * ctx.r
-    for sym, c in x.terms:
-        if sym.kind == "lambda":
-            total += c * Fraction(_quad(ctx.r, sym.power), rr)
-        elif sym.kind == "kappa1":
-            total += c * Fraction(12 * sym.power * sym.power, rr)
-        else:
-            ctx.require_mu()
-            half = ctx.r // 2
-            total += c * (Fraction(_quad(ctx.r, -half), rr) + 12 * Fraction(_quad(ctx.r, half), rr)) / 2
-    return total
 
 
 # The expression tokenizer as it was before it became one finditer pass,

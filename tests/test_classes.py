@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import oracles
+from oracles import bench_oracle
 import rspin.classes as cl
 from rspin import errors
 from rspin.abelian import IntMatrix, SubgroupInfo
@@ -57,19 +57,9 @@ class TestUr:
         assert u_r(r) == expected
 
     def test_matches_four_branch_rule(self):
-        # the rule u_r replaced: 2, 4, 6, 12 by whether 4 and 3 divide r
-        def four_branch(r):
-            by4, by3 = r % 4 == 0, r % 3 == 0
-            if by4 and by3:
-                return 2
-            if by3:
-                return 4
-            if by4:
-                return 6
-            return 12
-
+        # bench/oracle.py gives u_r as 2, 4, 6, 12 by whether 4 and 3 divide r
         for r in range(2, 10**4 + 1):
-            assert u_r(r) == four_branch(r), r
+            assert u_r(r) == bench_oracle.u_r(r), r
 
     def test_small_r_rejected(self):
         for r in (1, 0, -4):
@@ -442,27 +432,32 @@ def record_cases(draw):
 
 
 class TestSymbolRecord:
-    """symbol_record and the rules built on it against the per-kind rules
-    they replaced (tests/oracles.py)."""
+    """symbol_record and the rules built on it against the closed forms of
+    bench/oracle.py, which computes its own u_r and chi. The fiber weight
+    is compared mod r, as every reader of that column takes it."""
 
     @given(record_cases())
     @settings(max_examples=300)
     def test_matches_per_kind_rules(self, case):
         ctx, a, b, arf, (c1, c2, c3) = case
+        r, g = ctx.r, ctx.g
         syms = [Lambda(a), Kappa1(a), Lambda(b), Kappa1(b)]
-        if ctx.r % 2:
+        if r % 2:
             with pytest.raises(errors.MuUndefinedError):
                 cl.symbol_record(ctx, MU)
         else:
             syms.append(MU)
         for sym in syms:
-            expected = (oracles.symbol_free(ctx, sym), oracles.symbol_phi(ctx, sym))
-            assert cl.symbol_record(ctx, sym, arf) == expected + (oracles.fiber_value(ctx, sym, arf),)
-            assert cl.symbol_record(ctx, sym) == expected + (oracles.fiber_value(ctx, sym, ctx.eps),)
-        x = FormalClass.of([(Lambda(a), c1), (Kappa1(b), c2)] + ([] if ctx.r % 2 else [(MU, c3)]))
-        assert free_coordinate(ctx, x) == sum(c * oracles.symbol_free(ctx, s) for s, c in x.terms)
-        assert phi_value(ctx, x) == sum(c * oracles.symbol_phi(ctx, s) for s, c in x.terms) % 24
-        assert rational_multiple_of_lambda(ctx, x) == oracles.rational_multiple_of_lambda(ctx, x)
+            kind, power = sym.kind, sym.power
+            expected = (bench_oracle.free_value(r, kind, power), bench_oracle.phi_symbol(kind))
+            for weight, record in ((arf, cl.symbol_record(ctx, sym, arf)), (ctx.eps, cl.symbol_record(ctx, sym))):
+                free, phi, fiber = record
+                assert (free, phi) == expected
+                assert fiber % r == bench_oracle.fiber_symbol(r, g, weight, kind, power)
+        x = FormalClass.of([(Lambda(a), c1), (Kappa1(b), c2)] + ([] if r % 2 else [(MU, c3)]))
+        terms = [(s.kind, s.power, c) for s, c in x.terms]
+        assert (free_coordinate(ctx, x), phi_value(ctx, x)) == bench_oracle.class_coords(r, terms)
+        assert rational_multiple_of_lambda(ctx, x) == sum(c * bench_oracle.q_value(r, k, p) for k, p, c in terms)
 
 
 class TestLinearity:
@@ -517,7 +512,7 @@ EVENT_RS = [2, 3, 4, 5, 9, 14, 19, 24, 33, 52, 71, 123, 194, 265, 336, 459, 724,
 
 
 def _lambda_free(r, a):
-    return u_r(r) * (r * r - 6 * a * r + 6 * a * a) // 12
+    return bench_oracle.free_value(r, "lambda", a)
 
 
 class TestFormalClassSingle:

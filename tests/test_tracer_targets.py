@@ -3,22 +3,12 @@ bench/tracer.py). A rename or deletion of a traced function must fail
 here, not only when the benchmark runs with --trace 1."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from oracles import bench_module
 
-
-def _targets():
-    spec = importlib.util.spec_from_file_location("rspin_bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return [(mod, name) for mod, names in tracer.TARGETS.items() for name in names]
-
-
-TARGETS = _targets()
+TARGETS = [(mod, name) for mod, names in bench_module("tracer").TARGETS.items() for name in names]
 
 
 def test_targets_listed():
