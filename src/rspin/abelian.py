@@ -313,9 +313,13 @@ class FgAbGroup(Value):
         return " ⊕ ".join(parts) if parts else "0"
 
 
-# Residuals with fewer rows than this are diagonalized as they are: on
-# dense entries in -9..9, _diagonalize alone is about as fast as the
-# steps mod d at five rows, and about twice as fast at two.
+# Residuals with fewer rows than this are diagonalized as they are. On
+# k x (k + 1) residuals with entries in -9..9 other than +-1, _diagonalize
+# alone is about as fast as the modular steps at five rows and 1.7 times
+# as fast at two (28 against 48 us). On square ones the modular route is
+# already ahead at two to four rows (61 against 54 us at four), but the
+# small residuals that presentations leave (2 x 3 on the benchmark's
+# lattice workload) are not square.
 _MODULAR_ROWS = 5
 
 
@@ -346,16 +350,36 @@ def group_from_presentation(n_generators: int, relations: IntMatrix) -> FgAbGrou
       coker(R) (x) Z/d = (Z/d)^(k-rho) + T: T is the cokernel taken
       modulo d with its top k - rho invariant factors, each exactly d,
       dropped. When d = 1 the cokernel is free.
-    * Modulo d (_cokernel_mod). Reduced mod d, R is brought to echelon
-      form by unimodular row steps, every entry kept in [0, d), so no
-      entry ever exceeds d (Domich, Kannan and Trotter, "Hermite normal
+    * Cyclic part of a square residual. When R is k x k of rank k,
+      T = coker(R) has invariant factors s_1 | ... | s_k with product d,
+      and _rank_and_minor also returns the gcd h of four (k-1) x (k-1)
+      minors. The gcd of all of them is s_1 ... s_(k-1), which therefore
+      divides h. So for a prime p of d with p prime to h, every s_i
+      with i < k is prime to p, and the p-part of T is cyclic of order
+      p^v_p(d). Let m = gcd(d, h^e) with 2^e > d, the part of d on the
+      primes of h, so that d/m is prime to m. The part of T on the
+      primes of d/m is then Z/(d/m). The part on the primes of m has
+      order m, so m kills it, and m is a unit on the rest: that part is
+      T (x) Z/m, the cokernel taken modulo m. Hence
+      T = Z/(d/m) + (T (x) Z/m), and only T (x) Z/m takes the modular
+      step; for m = 1 there is none. Any other residual takes it with
+      m = d. On random dense squares h is 1 about half the time and m
+      otherwise has a few bits, where d has about 130 at k = 30 (the
+      Smith form of a random integer matrix is almost always 1, ..., 1,
+      d: Eberly, Giesbrecht and Villard, "On computing the determinant
+      and Smith form of an integer matrix", FOCS 2000; Pernet and Stein,
+      "Fast computation of HNF of random integer matrices", J. Number
+      Theory 130 (2010), certify it with a gcd of (k-1)-minors).
+    * Modulo m (_cokernel_mod). Reduced mod m, R is brought to echelon
+      form by unimodular row steps, every entry kept in [0, m), so no
+      entry ever exceeds m (Domich, Kannan and Trotter, "Hermite normal
       form computation using modulo determinant arithmetic", Math. Oper.
       Res. 12 (1987); Cohen, A Course in Computational Algebraic Number
-      Theory, 2.4). A pivot prime to d is a unit of Z/d: it clears its
+      Theory, 2.4). A pivot prime to m is a unit of Z/m: it clears its
       column from the other rows and is dropped with its row. The few
       rows and columns left are diagonalized over Z by _diagonalize,
-      and each diagonal entry s gives Z/gcd(s, d), each column with no
-      diagonal entry Z/d.
+      and each diagonal entry s gives Z/gcd(s, m), each column with no
+      diagonal entry Z/m.
     """
     if relations.cols != n_generators:
         raise ValueError("relation matrix must have one column per generator")
@@ -370,26 +394,32 @@ def group_from_presentation(n_generators: int, relations: IntMatrix) -> FgAbGrou
         _diagonalize(dense, len(rows), len(cols))
         nonzero = [dense[i][i] for i in range(min(len(rows), len(cols))) if dense[i][i]]
         return FgAbGroup(free - len(nonzero), tuple(x for x in nonzero if x > 1))
-    rank, d = _rank_and_minor(dense)
-    if d == 1:
-        return FgAbGroup(free - rank)
-    chain = FgAbGroup.from_orders(_cokernel_mod(dense, d)).invariant_factors
+    rank, d, h = _rank_and_minor(dense)
+    m = gcd(d, pow(h, d.bit_length(), d)) if len(rows) == len(cols) == rank else d
+    orders = (_cokernel_mod(dense, m) if m > 1 else []) + [d // m]
+    chain = FgAbGroup.from_orders(orders).invariant_factors
     return FgAbGroup(free - rank, chain[: len(chain) - (len(cols) - rank)])
 
 
 def _rank_and_minor(rows: list) -> tuple:
-    """(rank, d) of the integer matrix with these rows, all of one
-    length: d = |det| of a nonzero rank x rank minor, 1 at rank 0.
+    """(rank, d, h) of the integer matrix with these rows, all of one
+    length: d = |det| of a nonzero rank x rank minor, 1 at rank 0, and h
+    the gcd of the entries of the last two live rows, 0 if there never
+    are exactly two.
 
     Fraction-free (Bareiss) elimination with the first nonzero entry of
     each column as pivot: after a pivot step every entry below it is a
     minor of one order more (a quotient by the previous pivot that is
     exact), so entries stay as small as the minors of the matrix. The
-    last pivot is the minor on the pivot rows and columns.
+    last pivot is the minor on the pivot rows and columns. On a k x k
+    matrix of rank k no column lacks a pivot, so two rows of two entries
+    are left after k - 2 steps, and each is +-a (k-1) x (k-1) minor.
     """
     live = [row for row in rows if any(row)]  # aligned at the current column
-    rank, prev = 0, 1
+    rank, prev, h = 0, 1, 0
     while live:
+        if len(live) == 2:
+            h = gcd(*live[0], *live[1])
         piv = next((row for row in live if row[0]), None)
         if piv is None:
             live = [row[1:] for row in live]
@@ -403,7 +433,7 @@ def _rank_and_minor(rows: list) -> tuple:
             if any(nxt)
         ]
         rank, prev = rank + 1, a
-    return rank, abs(prev)
+    return rank, abs(prev), h
 
 
 def _cokernel_mod(rows: list, d: int) -> list:

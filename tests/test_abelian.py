@@ -297,7 +297,8 @@ class TestGroupFromPresentation:
     @settings(max_examples=200, deadline=None)
     def test_modular_steps_from_two_rows(self, a):
         # the residuals below _MODULAR_ROWS rows take _diagonalize alone;
-        # here every residual of two or more rows takes the steps mod d
+        # here every residual of two or more rows takes the rank and minor
+        # step, and then the modular one unless its cokernel is cyclic
         with mock.patch.object(abelian, "_MODULAR_ROWS", 2):
             assert group_from_presentation(a.cols, a) == smith_group(a)
 
@@ -343,6 +344,48 @@ class TestGroupFromPresentation:
         assert g == FgAbGroup.from_orders(orders, free_rank=2) == smith_group(a)
         assert g.invariant_factors == (2, 2, 4, 12, 360, 10800)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_square_conjugates_of_a_diagonal(self, seed):
+        # a square residual whose torsion is not cyclic on 2 and 3 (so m > 1)
+        # and has a large prime that only the cyclic part carries (d/m > 1)
+        p = 10**20 + 39
+        orders = [1] * 6 + [2, 2, 4, 8, 3, 9, 27, p]
+        n = len(orders)
+        rng = random.Random(seed)
+        a = unimodular(rng, n) @ IntMatrix.from_rows(
+            [[x if i == j else 0 for j in range(n)] for i, x in enumerate(orders)], cols=n
+        ) @ unimodular(rng, n)
+        assert modular_residual(a)
+        with mock.patch.object(abelian, "_cokernel_mod", wraps=abelian._cokernel_mod) as modular:
+            g = group_from_presentation(n, a)
+        assert g == FgAbGroup.from_orders(orders) == smith_group(a)
+        assert g.invariant_factors == (2, 6, 36, 216 * p)
+        assert modular.call_count == 1
+        (_, m), _ = modular.call_args
+        assert m == 2**7 * 3**6
+
+    @pytest.mark.parametrize(
+        "n, seed, cyclic", [(20, 2, True), (26, 0, True), (20, 4, False), (26, 1, False)]
+    )
+    def test_modular_step_only_off_the_cyclic_part(self, n, seed, cyclic):
+        # h, the gcd of the last four Bareiss entries, is 1 on the cyclic
+        # cases: no modular step. Otherwise one step, modulo a proper divisor
+        # m of d = |det|
+        rng = random.Random(seed)
+        a = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        assert modular_residual(a)
+        with mock.patch.object(abelian, "_cokernel_mod", wraps=abelian._cokernel_mod) as modular:
+            g = group_from_presentation(n, a)
+        assert g == smith_group(a)
+        d = abs(det(a))
+        if cyclic:
+            assert g == FgAbGroup.cyclic(d)
+            assert modular.call_count == 0
+        else:
+            assert modular.call_count == 1
+            (_, m), _ = modular.call_args
+            assert 1 < m < d and d % m == 0
+
     @pytest.mark.parametrize("t", range(24))
     def test_adversarial_kernel(self, t):
         # rspin.abelian is general-purpose (README): the kernel of the map
@@ -363,7 +406,8 @@ class TestGroupFromPresentation:
 
 
 def modular_residual(a: IntMatrix) -> bool:
-    """Whether a's residual after unit pivots takes the steps mod d."""
+    """Whether a's residual after unit pivots takes the rank and minor
+    step, which sends all but its cyclic part to the steps modulo m."""
     return len(abelian._unit_pivot_residual(a)[0]) >= abelian._MODULAR_ROWS
 
 
@@ -379,12 +423,18 @@ def unimodular(rng, n: int) -> IntMatrix:
 
 class TestRankAndMinor:
     @given(relation_matrices(max_dim=7))
+    @example(IntMatrix.from_rows([[2, 0, 0], [0, 6, 0], [0, 0, 12]]))
     @settings(max_examples=150, deadline=None)
     def test_rank_and_a_maximal_minor(self, a):
-        rho, d = abelian._rank_and_minor(a.to_rows())
+        rho, d, h = abelian._rank_and_minor(a.to_rows())
         assert rho == rank(a)
         # d_1 ... d_rho, the gcd of the rho x rho minors, divides d
-        assert d % prod(smith_group(a).invariant_factors, start=1) == 0
+        factors = smith_group(a).invariant_factors
+        assert d % prod(factors, start=1) == 0
+        if a.rows == a.cols == rho:
+            # d_1 ... d_(rho-1), the gcd of the (rho-1) x (rho-1) minors,
+            # divides h
+            assert h % prod(factors[:-1], start=1) == 0
         if rho == 0:
             assert d == 1
         elif max(a.rows, a.cols) <= 5:
