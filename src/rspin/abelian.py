@@ -8,8 +8,8 @@ no overflow.  All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
-from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm, prod
 
@@ -68,18 +68,20 @@ class Value:
 
 
 class IntMatrix(Value):
-    """Dense integer matrix, row-major."""
+    """Integer matrix stored by rows: nonzero[i] holds the (column, entry)
+    pairs of row i in increasing column order, with no zero entry, so
+    two matrices are equal exactly when their dense forms are."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "nonzero")
 
-    def __init__(self, rows: int, cols: int, entries: tuple):
+    def __init__(self, rows: int, cols: int, nonzero: tuple):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
+        if len(nonzero) != rows:
+            raise ValueError("row count does not match dimensions")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "nonzero", nonzero)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -88,14 +90,21 @@ class IntMatrix(Value):
             cols = len(rows[0]) if rows else 0
         if any(len(r) != cols for r in rows):
             raise ValueError(f"rows must all have {cols} entries")
-        flat = tuple(x for r in rows for x in r)
-        return cls(len(rows), cols, flat)
+        return cls(len(rows), cols, tuple(tuple(zip(compress(range(cols), r), compress(r, r))) for r in rows))
+
+    @property
+    def entries(self) -> tuple:
+        """The dense entries, row-major."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return next((x for c, x in self.nonzero[i] if c == j), 0)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        dense = [0] * self.cols
+        for j, x in self.nonzero[i]:
+            dense[j] = x
+        return tuple(dense)
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -103,15 +112,15 @@ class IntMatrix(Value):
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        flat = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                flat.append(sum(r[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(flat))
+        dense = other.to_rows()
+        product = [[sum(x * dense[k][j] for k, x in pairs) for j in range(other.cols)] for pairs in self.nonzero]
+        return IntMatrix.from_rows(product, cols=other.cols)
 
     def diagonal(self) -> tuple:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
+
+    def __repr__(self):
+        return f"IntMatrix(rows={self.rows}, cols={self.cols}, entries={self.entries!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +324,11 @@ class FgAbGroup(Value):
 
 # Residuals with fewer rows than this are diagonalized as they are. On
 # k x (k + 1) residuals with entries in -9..9 other than +-1, _diagonalize
-# alone is about as fast as the modular steps at five rows and 1.7 times
-# as fast at two (28 against 48 us). On square ones the modular route is
-# already ahead at two to four rows (61 against 54 us at four), but the
-# small residuals that presentations leave (2 x 3 on the benchmark's
-# lattice workload) are not square.
+# alone is 1.8 times as fast as the modular steps at two rows (29 against
+# 52 us) and 1.2 times at five (116 against 143), and behind at six. On
+# square ones the modular route is ahead from two rows on (58 against
+# 71 us at four), but the small residuals that presentations leave (1 x 2
+# and 2 x 3 on the benchmark's lattice workload) are not square.
 _MODULAR_ROWS = 5
 
 
@@ -329,15 +338,19 @@ def group_from_presentation(n_generators: int, relations: IntMatrix) -> FgAbGrou
     Computed with no unimodular witnesses, in these steps.
 
     * Unit pivots (_unit_pivot_residual). A relation with coefficient
-      +-1 on a generator x expresses x in terms of the others. Adding
-      multiples of it to the other relations clears x from them, and
-      then x and that relation can both be dropped: the cokernel does
-      not change. This is the sparse elimination step of Dumas, Saunders
-      and Villard, "On efficient sparse integer matrix Smith normal form
-      computations", J. Symbolic Comput. 32 (2001). On kernel_lattice's
-      Hermite bases every unit-pivot column is already zero in the other
-      rows, so the step costs O(nnz) and leaves only the few rows with
-      non-unit pivots.
+      +-1 on a generator x that no other relation involves expresses x
+      in terms of the others, so x and that relation can both be
+      dropped: the cokernel does not change. This is the sparse
+      elimination step of Dumas, Saunders and Villard, "On efficient
+      sparse integer matrix Smith normal form computations", J. Symbolic
+      Comput. 32 (2001), kept to the pivots that need no fill-in. On
+      kernel_lattice's Hermite bases every unit-pivot column is already
+      zero in the other rows, so the step reads the stored rows once,
+      in O(nnz), and leaves only the few rows with non-unit pivots. A
+      dense matrix seldom has such a column and goes on whole: clearing
+      a shared +-1 column there removes a few rows but leaves larger
+      entries, and fraction-free elimination on the rest costs about as
+      much as on the whole.
     * Few relations. A residual R of at most one row, on the k
       generators it still involves, has cokernel Z^(k-1) + Z/gcd(row),
       or Z^k. With fewer than _MODULAR_ROWS rows, _diagonalize brings R
@@ -386,10 +399,10 @@ def group_from_presentation(n_generators: int, relations: IntMatrix) -> FgAbGrou
     rows, eliminated = _unit_pivot_residual(relations)
     free = n_generators - eliminated
     if len(rows) <= 1:
-        orders = [gcd(*row.values()) for row in rows]
+        orders = [gcd(*(x for _, x in pairs)) for pairs in rows]
         return FgAbGroup(free - len(rows), tuple(g for g in orders if g > 1))
-    cols = sorted({c for row in rows for c in row})
-    dense = [[row.get(c, 0) for c in cols] for row in rows]
+    cols = sorted({c for pairs in rows for c, _ in pairs})
+    dense = [[row.get(c, 0) for c in cols] for row in map(dict, rows)]
     if len(rows) < _MODULAR_ROWS:
         _diagonalize(dense, len(rows), len(cols))
         nonzero = [dense[i][i] for i in range(min(len(rows), len(cols))) if dense[i][i]]
@@ -495,55 +508,20 @@ def _cokernel_mod(rows: list, d: int) -> list:
 
 
 def _unit_pivot_residual(a: IntMatrix) -> tuple:
-    """(rows, eliminated): eliminate unit pivots from the rows of a.
+    """(rows, eliminated): drop the unit pivots of a that need no fill-in.
 
-    Rows are {column: coeff} dicts, with an index from each column to
-    the rows that have it. While some entry is +-1, take one whose
-    column lies in the fewest rows (fewest rows to update, so least
-    fill-in), earliest column and then earliest row on ties. Subtract
-    multiples of its row from the other rows of that column so that the
-    column is zero there, then drop the row and the column. Returns the
-    nonzero rows left and the number of columns dropped; the cokernel of
-    the rows left, on the columns not dropped, is that of a.
+    A column whose one nonzero entry is +-1 is dropped with its row: that
+    row expresses the column's generator in the others, and no other row
+    involves it, so the cokernel of the rows left, on the columns left,
+    is that of a. A row with several such columns is dropped once, and
+    its other such columns stay as generators in no relation. Returns
+    the nonzero rows left, as (column, entry) pairs, and the number of
+    rows dropped.
     """
-    rows = {}
-    where = {}  # column -> ids of the rows with a nonzero entry there
-    entries = a.entries
-    for k in compress(range(len(entries)), entries):
-        i, j = divmod(k, a.cols)
-        rows.setdefault(i, {})[j] = entries[k]
-        where.setdefault(j, set()).add(i)
-    # (row count, column), pushed again whenever an entry of the column
-    # changes; an entry whose count is no longer current is skipped
-    heap = [(len(ids), c) for c, ids in where.items()]
-    heapify(heap)
-    eliminated = 0
-    while heap:
-        count, c = heappop(heap)
-        if len(where.get(c, ())) != count:
-            continue
-        p = min((i for i in where[c] if rows[i][c] in (1, -1)), default=None)
-        if p is None:
-            continue
-        pivot = rows.pop(p)
-        for i in where[c] - {p}:
-            row = rows[i]
-            q = row[c] * pivot[c]  # row -= q * pivot clears c, as pivot[c]^2 = 1
-            for j, x in pivot.items():
-                y = row.get(j, 0) - q * x
-                if y:
-                    row[j] = y
-                    where[j].add(i)
-                else:
-                    del row[j]
-                    where[j].discard(i)
-        for j in pivot:
-            where[j].discard(p)
-            if where[j]:
-                heappush(heap, (len(where[j]), j))
-        del where[c]  # empty now
-        eliminated += 1
-    return [row for row in rows.values() if row], eliminated
+    count = Counter(c for pairs in a.nonzero for c, _ in pairs)
+    units = {(c, s) for c, n in count.items() if n == 1 for s in (1, -1)}
+    rows = [pairs for pairs in a.nonzero if pairs and units.isdisjoint(pairs)]
+    return rows, sum(map(bool, a.nonzero)) - len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +598,7 @@ def kernel_lattice(hom: HomZN) -> IntMatrix:
             basis = _hermite2(basis + [(f, t, {j: 1})])
             if d:
                 reducers.append(j)
-    flat = []
-    for j in sorted(rows):
-        dense = [0] * k
-        for c, x in rows[j].items():
-            dense[c] = x
-        flat.extend(dense)
-    return IntMatrix(len(rows), k, tuple(flat))
+    return IntMatrix(len(rows), k, tuple(tuple(sorted(rows[j].items())) for j in sorted(rows)))
 
 
 def _axpy(acc: dict, a: int, x: dict) -> None:
@@ -752,10 +724,12 @@ def subgroup_info(ambient_torsion: int, generators: Iterable) -> SubgroupInfo:
     g = n // h
     group = FgAbGroup(1 if f0 else 0, (g,) if g > 1 else ())
     if not f0:
-        return SubgroupInfo(n, group, None, IntMatrix(1, 2, (0, h)))
+        return SubgroupInfo(n, group, None, IntMatrix(1, 2, (((1, h),),)))
     if f0 < 0:
         f0, t0 = -f0, -t0
-    return SubgroupInfo(n, group, f0 * h, IntMatrix(2, 2, (f0, t0 % h, 0, h)))
+    t0 %= h
+    top = ((0, f0), (1, t0)) if t0 else ((0, f0),)
+    return SubgroupInfo(n, group, f0 * h, IntMatrix(2, 2, (top, ((1, h),))))
 
 
 def element_order(modulus: int, t: int) -> int:

@@ -158,13 +158,12 @@ def h2_theta_subgroup(ctx: ModuliContext, generators: Sequence[FormalClass] | No
         hom = cl.coords_hom(ctx, gens)
         cl.require_generating(ctx, hom)
     evals = [eval_on_fiber(ctx, x) for x in gens]
-    coeff_rows = kernel_lattice(HomZN(ctx.r, tuple((0, e) for e in evals)))
+    rows = kernel_lattice(HomZN(ctx.r, tuple((0, e) for e in evals))).nonzero
     images = hom.generator_images
-    rows = [[(c, j) for j, c in enumerate(row) if c] for row in coeff_rows.to_rows()]
-    sub_gens = tuple(FormalClass.of((s, c * k) for c, j in row for s, k in gens[j].terms) for row in rows)
+    sub_gens = tuple(FormalClass.of((s, c * k) for j, c in row for s, k in gens[j].terms) for row in rows)
     sub_hom = HomZN(
         ctx.torsion_order,
-        tuple((sum(c * images[j][0] for c, j in row), sum(c * images[j][1] for c, j in row)) for row in rows),
+        tuple((sum(c * images[j][0] for j, c in row), sum(c * images[j][1] for j, c in row)) for row in rows),
     )
     info = subgroup_info(ctx.torsion_order, sub_hom.generator_images)
     image_order = element_order(ctx.r, gcd(*evals))

@@ -90,7 +90,7 @@ class TestSmithNormalForm:
         assert s.s.rows == 0 and s.s.cols == 0
 
     def test_identity(self):
-        s = smith_normal_form(IntMatrix(2, 2, (1, 0, 0, 1)))
+        s = smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 1]]))
         assert s.s.to_rows() == [[1, 0], [0, 1]]
 
     def test_2x2(self):
@@ -177,7 +177,7 @@ class TestSmithNormalForm:
 
     @pytest.mark.parametrize("m,n", [(0, 3), (3, 0)])
     def test_empty_shapes(self, m, n):
-        sf = smith_normal_form(IntMatrix(m, n, ()))
+        sf = smith_normal_form(IntMatrix.from_rows([[0] * n] * m, cols=n))
         assert (sf.s.rows, sf.s.cols) == (m, n)
         eye_m = IntMatrix.from_rows([[int(i == j) for j in range(m)] for i in range(m)], cols=m)
         eye_n = IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
@@ -244,8 +244,8 @@ def relation_matrices(draw, max_dim=12):
 
 class TestGroupFromPresentation:
     @given(relation_matrices())
-    @example(IntMatrix(0, 5, ()))
-    @example(IntMatrix(4, 0, ()))
+    @example(IntMatrix.from_rows([], cols=5))
+    @example(IntMatrix.from_rows([[]] * 4, cols=0))
     @example(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))
     @settings(max_examples=200, deadline=None)
     def test_vs_smith_diagonal(self, a):
@@ -636,6 +636,37 @@ def kernel_maps(draw, max_k=60, huge_moduli=True):
     return HomZN(n, tuple(images))
 
 
+class TestUnitPivotResidual:
+    @given(kernel_maps())
+    @example(HomZN(2, ((1, 1), (2, 0))))  # kernel row (2, -1): no pivot in column 1
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_keeps_its_pivots_above_one(self, hom):
+        # every unit pivot of a Hermite basis is alone in its column; a
+        # row with a pivot above 1 goes only for a +-1 in the one column
+        # with no pivot, which no other row has, and a map with zero free
+        # parts leaves no column without a pivot
+        ker = kernel_lattice(hom)
+        rows, eliminated = abelian._unit_pivot_residual(ker)
+        above_one = [pairs for pairs in ker.nonzero if pairs[0][1] > 1]
+        no_pivot = set(range(ker.cols)) - {pairs[0][0] for pairs in ker.nonzero}
+        assert rows == [pairs for pairs in above_one if pairs in rows]
+        assert eliminated == ker.rows - len(rows)
+        for pairs in above_one:
+            assert pairs in rows or any(c in no_pivot and x in (1, -1) for c, x in pairs)
+        if not any(f for f, _ in hom.generator_images):
+            assert rows == above_one
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_square_keeps_every_row(self, seed):
+        # no fill-in: a +-1 in a column that other rows share is left
+        # to the steps after
+        rng = random.Random(seed)
+        n = 12
+        a = IntMatrix.from_rows([[rng.choice([-9, -1, 1, 2, 5]) for _ in range(n)] for _ in range(n)])
+        assert abelian._unit_pivot_residual(a) == (list(a.nonzero), 0)
+        assert group_from_presentation(n, a) == smith_group(a)
+
+
 class TestKernelLattice:
     def test_injective(self):
         k = kernel_lattice(HomZN(1, ((1, 0),)))
@@ -725,7 +756,7 @@ class TestKernelLattice:
         # kernel, and Hermite shape: increasing pivots, each positive with
         # the entries above it in [0, pivot)
         assert (ker.rows, ker.cols) == (k - 1, k)
-        pivots = []
+        pivots, entries = [], ker.entries
         for i in range(ker.rows):
             row = ker.row(i)
             assert sum(c * f for c, (f, _) in zip(row, images)) == 0
@@ -734,7 +765,7 @@ class TestKernelLattice:
             assert row[p] > 0 and (not pivots or p > pivots[-1])
             pivots.append(p)
         for i, p in enumerate(pivots):
-            column = ker.entries[p :: ker.cols]
+            column = entries[p :: ker.cols]
             assert all(0 <= x < column[i] for x in column[:i])
 
 
@@ -755,9 +786,47 @@ class TestElementOrder:
         assert element_order(n, t) == expected
 
 
+def well_formed(a: IntMatrix) -> bool:
+    """Whether a stores one tuple per row, each of (column, entry) pairs
+    in increasing column order inside range(cols), with no zero entry."""
+
+    def row_ok(pairs):
+        cols = [c for c, _ in pairs]
+        return all(x for _, x in pairs) and cols == sorted(set(cols)) and all(0 <= c < a.cols for c in cols)
+
+    return len(a.nonzero) == a.rows and all(map(row_ok, a.nonzero))
+
+
 class TestIntMatrix:
+    @given(matrices(entries=st.integers(min_value=-2, max_value=2)))
+    @settings(max_examples=150, deadline=None)
+    def test_dense_round_trip(self, a):
+        rows = a.to_rows()
+        assert IntMatrix.from_rows(rows, cols=a.cols) == a and well_formed(a)
+        assert a.entries == tuple(x for row in rows for x in row)
+        for i, row in enumerate(rows):
+            assert a.row(i) == tuple(row)
+            assert [a.at(i, j) for j in range(a.cols)] == row
+
+    @given(*[matrices(max_dim=2, entries=st.integers(min_value=0, max_value=1))] * 2)
+    @settings(max_examples=150, deadline=None)
+    def test_equal_exactly_when_dense_forms_are(self, a, b):
+        dense_equal = (a.rows, a.cols, a.to_rows()) == (b.rows, b.cols, b.to_rows())
+        assert (a == b) == dense_equal and (a != b) != dense_equal
+        if dense_equal:
+            assert hash(a) == hash(b)
+
+    @given(kernel_maps(), matrices(max_dim=4))
+    @settings(max_examples=60, deadline=None)
+    def test_builders_store_well_formed_rows(self, hom, a):
+        sf = smith_normal_form(a)
+        info = subgroup_info(hom.ambient_torsion, hom.generator_images)
+        built = [kernel_lattice(hom), sf.s, sf.u, sf.v, sf.u @ a, info.basis, hermite_normal_form(a.to_rows(), a.cols)]
+        assert all(well_formed(m) for m in built)
+
     def test_from_rows_cols(self):
-        assert IntMatrix.from_rows([[1, 2]], cols=2) == IntMatrix(1, 2, (1, 2))
+        assert IntMatrix.from_rows([[1, 2]], cols=2) == IntMatrix(1, 2, (((0, 1), (1, 2)),))
+        assert IntMatrix.from_rows([[0, 2], [0, 0]], cols=2) == IntMatrix(2, 2, (((1, 2),), ()))
         assert IntMatrix.from_rows([], cols=3) == IntMatrix(0, 3, ())
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2]], cols=3)

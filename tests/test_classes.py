@@ -3,6 +3,7 @@ the degree-two class lattice."""
 
 import ast
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import bench_oracle
 import rspin.classes as cl
 from rspin import errors
-from rspin.abelian import IntMatrix, SubgroupInfo
+from rspin.abelian import HomZN, IntMatrix, SubgroupInfo, group_from_presentation, kernel_lattice, subgroup_info
 from rspin.classes import (
     FormalClass,
     Kappa1,
@@ -334,6 +335,26 @@ class TestPresentation:
         gens = default_generators(ctx)
         # presentation raises unless the pair has index 1 and cokernel Z + Z/N
         assert len(gens) == 2 and presentation(ctx, gens).generators == gens
+
+    def test_all_named_classes_without_dense_rows(self, monkeypatch):
+        # kernel_lattice and the cokernel pass rows of nonzero entries
+        # along; a dense k x k form at k = 2000 would go through one of these
+        def refuse(*args):
+            raise AssertionError("dense IntMatrix rows were built")
+
+        monkeypatch.setattr(IntMatrix, "row", refuse)
+        monkeypatch.setattr(IntMatrix, "to_rows", refuse)
+        monkeypatch.setattr(IntMatrix, "entries", property(refuse))
+        ctx = ctx_for(2000, eps=1)
+        p = presentation(ctx, [single(s) for s in default_symbols(2000)])
+        # the cokernel check against subgroup_info ran inside presentation
+        assert (p.relations.rows, p.relations.cols) == (2002, 2003)
+        rng = random.Random(2000)
+        images = tuple((rng.randint(-3, 3), rng.randrange(24)) for _ in range(2000))
+        hom = HomZN(24, images)
+        ker = kernel_lattice(hom)
+        assert ker.rows == 1999
+        assert group_from_presentation(2000, ker) == subgroup_info(24, images).group
 
     def test_non_generating_pair_is_internal_error(self, monkeypatch):
         real = cl.subgroup_info

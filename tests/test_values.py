@@ -23,15 +23,15 @@ from rspin.twists import TwistInput, ZrSubgroup, h2_theta_subgroup
 # same class that differs in a field, repr of the builder's value)
 VALUES = {
     "IntMatrix": (
-        ("rows", "cols", "entries"),
-        lambda: IntMatrix(2, 2, (1, 2, 3, 4)),
-        lambda: IntMatrix(2, 2, (1, 2, 3, 5)),
+        ("rows", "cols", "nonzero"),
+        lambda: IntMatrix.from_rows([[1, 2], [3, 4]]),
+        lambda: IntMatrix.from_rows([[1, 2], [3, 5]]),
         "IntMatrix(rows=2, cols=2, entries=(1, 2, 3, 4))",
     ),
     "SmithForm": (
         ("s", "u", "v"),
-        lambda: smith_normal_form(IntMatrix(1, 2, (2, 4))),
-        lambda: smith_normal_form(IntMatrix(1, 2, (2, 6))),
+        lambda: smith_normal_form(IntMatrix.from_rows([[2, 4]])),
+        lambda: smith_normal_form(IntMatrix.from_rows([[2, 6]])),
         "SmithForm(s=IntMatrix(rows=1, cols=2, entries=(2, 0)), u=IntMatrix(rows=1, cols=1, entries=(1,)), "
         "v=IntMatrix(rows=2, cols=2, entries=(1, -2, 0, 1)))",
     ),
@@ -195,7 +195,7 @@ def test_keyword_arguments_and_defaults():
     "build,error,message",
     [
         (lambda: IntMatrix(-1, 0, ()), ValueError, "negative dimensions"),
-        (lambda: IntMatrix(2, 2, (1, 2, 3)), ValueError, "entry count does not match dimensions"),
+        (lambda: IntMatrix(2, 2, (((0, 1),),)), ValueError, "row count does not match dimensions"),
         (lambda: FgAbGroup(-1), ValueError, "negative free rank"),
         (lambda: FgAbGroup(0, (1, 2)), ValueError, "invariant factors must be >= 2"),
         (lambda: FgAbGroup(0, (4, 2)), ValueError, "invariant factors must form a divisibility chain"),
