@@ -242,35 +242,31 @@ def stable_genus(r: int) -> int:
 # coordinates
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise errors.InternalConsistencyError(f"{num} is not divisible by {den}")
-    return q
-
-
 def symbol_record(ctx: ModuliContext, sym: ClassSymbol, arf: int | None = None) -> tuple:
     """(free coordinate, phi, fiber weight) of one named class: the rules
     that give each generator its numbers, side by side.
 
-        class         free coordinate          phi in Z/24   fiber weight
-        lambda(a/r)   u(r^2 - 6ar + 6a^2)/12   2             0
-        kappa1(a/r)   u a^2                    0             2a^2 chi/r
-        mu            -u r^2/48                1             arf r/2
+        class         free coordinate          degree   phi in Z/24   fiber weight
+        lambda(a/r)   u(r^2 - 6ar + 6a^2)/12   (2, 2)   2             0
+        kappa1(a/r)   u a^2                    (0, 2)   0             2a^2 chi/r
+        mu            -u r^2/48                (2, 0)   1             arf r/2
 
     u = u_r(r) and chi = 2 - 2g are read from the context, which computes
     them once; arf defaults to eps, and mu needs even r.
+    u depends only on r mod 12, so on each class r = 12k + c the free
+    coordinate has the stated degree in (k, a); tests/test_closed_form_proofs.py
+    proves it an integer for every r and a, so the divisions are exact.
     The fiber weight is the beta-multiple a class restricts to on the
     gerbe's fiber (rspin.twists). That column does not vanish on the
     relations between the named classes; ROADMAP item 0 replaces it.
     """
     u, r, a = ctx.u, ctx.r, sym.power
     if sym.kind == LAMBDA:
-        return _exact_div(u * (r * r - 6 * a * r + 6 * a * a), 12), 2, 0
+        return u * (r * r - 6 * a * r + 6 * a * a) // 12, 2, 0
     if sym.kind == KAPPA1:
         return u * a * a, 0, 2 * a * a * (ctx.chi // r)
     ctx.require_mu()
-    return -_exact_div(u * r * r, 48), 1, (ctx.eps if arf is None else arf) * (r // 2)
+    return -(u * r * r // 48), 1, (ctx.eps if arf is None else arf) * (r // 2)
 
 
 def _free_and_phi(ctx: ModuliContext, x: FormalClass) -> tuple:
@@ -429,8 +425,9 @@ def _lam(r: int, a: int) -> ClassSymbol:
 
 
 def _torsion_pair(ctx: ModuliContext, s: ClassSymbol, t: ClassSymbol) -> FormalClass:
-    """The primitive combination (w/g) s - (v/g) t, free coordinate 0,
-    where v and w are the free coordinates of s and t and g = gcd(v, w).
+    """The primitive combination (w/g) s - (v/g) t, where v and w are the
+    free coordinates of s and t and g = gcd(v, w); its free coordinate is
+    (w/g) v - (v/g) w = 0.
 
     g > 0 for every pair of named classes: kappa1(1/r) and mu have free
     coordinates u and -ur^2/48, and lambda(a/r) has u(r^2 - 6ar + 6a^2)/12,
@@ -440,12 +437,7 @@ def _torsion_pair(ctx: ModuliContext, s: ClassSymbol, t: ClassSymbol) -> FormalC
     # after the records, so mu at odd r still raises MuUndefinedError first
     ctx.require_h2_range()
     g = gcd(v, w)
-    out = FormalClass.of([(s, w // g), (t, -(v // g))])
-    if free_coordinate(ctx, out):
-        raise errors.InternalConsistencyError(
-            f"torsion pair {render_class(out, ctx.r)} has nonzero free coordinate"
-        )
-    return out
+    return FormalClass.of([(s, w // g), (t, -(v // g))])
 
 
 def lambda_difference_torsion(ctx: ModuliContext, a: int, b: int) -> FormalClass:

@@ -294,8 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one query. argv is parsed under the interpreter's int/str digit
+    limit, where it has one, which bounds the input. The answer may have
+    more digits (chi = 2 - 2g, r^2), so the query and its output run
+    without the limit, and it is restored before main returns."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         args = build_parser().parse_args(argv)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         _emit(args.func(args), args)
         return EXIT_OK
     except errors.StableRangeError as e:
@@ -310,6 +317,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

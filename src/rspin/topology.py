@@ -3,7 +3,6 @@ homology of the r-Spin moduli spaces."""
 
 from __future__ import annotations
 
-from . import errors
 from .abelian import FgAbGroup
 from .classes import ModuliContext, default_presentation, torsion_order_of, u_r
 
@@ -55,11 +54,10 @@ def xr_cohomology(r: int, degree: int) -> FgAbGroup:
 
 def pi2_multiplier(r: int) -> int:
     """The integer by which the rank-one free quotient of pi_2 maps to Z;
-    equals the divisibility of the Hodge class."""
-    m, rem = divmod(r * r * u_r(r), 12)
-    if rem:
-        raise errors.InternalConsistencyError(f"r^2 U_r not divisible by 12 at r = {r}")
-    return m
+    equals the divisibility of the Hodge class, r^2 u_r(r)/12. On each
+    residue class r = 12k + c that is a polynomial of degree 2 in k, an
+    integer for every k (tests/test_closed_form_proofs.py)."""
+    return r * r * u_r(r) // 12
 
 
 def h1_moduli(ctx: ModuliContext) -> FgAbGroup:

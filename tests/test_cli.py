@@ -435,6 +435,67 @@ class TestResourceFailure:
         assert out == "" and err == "error: out of memory\n"
 
 
+class TestTorsionSubgroupCheck:
+    """_coords' check that a class's torsion part lies in the order-N
+    subgroup of Z/24 is the exit-4 route for a wrong phi column: with
+    mu's phi moved from 1 to 5, this golden argv would otherwise print a
+    wrong tau."""
+
+    def test_wrong_mu_phi_exits_4(self, capsys, monkeypatch):
+        record = cl.symbol_record
+
+        def shifted(ctx, sym, arf=None):
+            v, phi, w = record(ctx, sym, arf)
+            return v, phi + 4 if sym == cl.MU else phi, w
+
+        monkeypatch.setattr(cl, "symbol_record", shifted)
+        code, out, err = run(capsys, "eval", "--r", "2", "--g", "9", "--eps", "0", "lambda(1/2) - 2*kappa1(1/2) + mu")
+        assert code == 4 and out == ""
+        assert err == (
+            "internal consistency error: torsion part of a class maps to 16 in Z/24,"
+            " outside the order-4 subgroup\n"
+        )
+
+
+class TestLongIntegers:
+    """Inputs are parsed under the interpreter's int/str digit limit
+    (4300 by default on CPython 3.11), but chi = 2 - 2g and r^2 may have
+    more digits: the query prints them in full and leaves the limit as
+    it was."""
+
+    def _limit(self):
+        return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+    def test_genus_at_the_limit(self, capsys):
+        before = self._limit()
+        g = "9" + "0" * 4299  # 4300 digits, so chi has 4301
+        code, out, err = run(capsys, "report", "--r", "2", "--g", g, "--eps", "0")
+        assert (code, err) == (0, "")
+        assert f"  g: {g}\n" in out
+        assert f"  chi: -17{'9' * 4298}8\n" in out
+        assert self._limit() == before
+
+    def test_r_whose_square_passes_the_limit(self, capsys):
+        before = self._limit()
+        r = "1" + "0" * 2200  # r = 4 mod 12: u = 6
+        code, out, err = run(capsys, "report", "--r", r, "--g", "9", "--eps", "0", "--json")
+        assert (code, err) == (0, "")
+        table = json.loads(out)["divisibility"]
+        assert table["lambda"] == "5" + "0" * 4399  # u r^2/12
+        assert table["kappa1"] == "6" + "0" * 4400  # u r^2
+        assert table["mu"] == "-125" + "0" * 4397  # -u r^2/48
+        assert self._limit() == before
+
+    def test_longer_input_is_still_rejected(self, capsys):
+        limit = self._limit()
+        if not limit:
+            pytest.skip("this interpreter has no int/str digit limit")
+        code, out, err = run_or_exit(capsys, "report", "--r", "2", "--g", "9" * (limit + 1), "--eps", "0")
+        assert code == 2 and out == ""
+        assert "invalid int value" in err
+        assert self._limit() == limit
+
+
 class TestJson:
     @pytest.mark.parametrize(
         "argv",

@@ -11,8 +11,11 @@ moduli nonempty, k is drawn up to 10^6, and one genus lies near 10^100.
 * canonical_coords, torsion_generator, default_presentation and
   _fixed_pair must return at g what they return at g0.
 
-theta and twist are left out: their fiber column carries chi = 2 - 2g
-(ROADMAP item 0).
+theta and twist see g through chi = 2 - 2g in their fiber column
+(ROADMAP item 0), but only through chi/r mod r: their --json without
+context, the r = 4 warning read as present or not, must be the same at
+g0 and at g0 + k * r * step, with r drawn as above plus r = 2..13 and k
+up to 10^6. One step alone is not a period.
 """
 
 import contextlib
@@ -119,3 +122,65 @@ def test_draws_cover_every_residue_and_a_googol():
     assert {r % 12 for r in RS} == set(range(12))
     assert max(RS) > 10**10
     assert any(g > 10**100 for _, _, genera, _ in CASES for g in genera)
+
+
+# theta and twist see g through the fiber weights 0, 2a^2 chi/r and
+# arf r/2, that is through chi/r mod r, and through the torsion image
+# r(12 eps + chi)/(8 gcd(r, 3)), which moves by a multiple of r when
+# chi/r moves by one of r. g -> g + k r step moves chi/r by -2k step,
+# a multiple of r for odd r (step = r) and for even r (step = r/2).
+# Small r are added for theta's r = 4 warning.
+FIBER_RS = list(range(2, 14)) + RS
+
+
+def _fiber_cases():
+    rng = random.Random("fiber-period")
+    for r in FIBER_RS:
+        step = r if r % 2 else r // 2
+        for eps in (None,) if r % 2 else (0, 1):
+            g0 = cl.stable_genus(r)
+            yield r, eps, g0, g0 + rng.randint(1, 10**6) * r * step, rng.randint(1, 9), _expression(rng, r)
+
+
+FIBER_CASES = list(_fiber_cases())
+
+
+def _fiber_outcome(argv, g):
+    """Exit code and --json report without context, the r = 4 warning
+    as its presence (its text prints g); or the exit code and stderr
+    with g masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv + ["--json"])
+    if code:
+        return code, err.getvalue().replace(f"g={g},", "g=*,")
+    report = json.loads(out.getvalue())
+    del report["context"]
+    if "warning" in report:
+        report["warning"] = True
+    return code, report
+
+
+def _theta_twist(r, eps, g, beta, text):
+    space = ["--r", str(r), "--g", str(g)] + ([] if eps is None else ["--eps", str(eps)])
+    arf = [] if eps is None else ["--arf", str(1 - eps)]
+    return (
+        _fiber_outcome(["theta"] + space, g),
+        _fiber_outcome(["twist"] + space + arf + ["--beta", str(beta), text], g),
+    )
+
+
+@pytest.mark.parametrize("r,eps,g0,g,beta,text", FIBER_CASES, ids=[f"r={r}-eps={e}" for r, e, *_ in FIBER_CASES])
+def test_theta_and_twist_have_period_r_step_in_g(r, eps, g0, g, beta, text):
+    assert _theta_twist(r, eps, g, beta, text) == _theta_twist(r, eps, g0, beta, text)
+
+
+def test_one_step_is_not_a_period():
+    """g -> g + step moves chi/r by -2, and kappa1(1/5)'s shift 2 chi/r
+    by -4 mod 5."""
+    g0 = cl.stable_genus(5)
+    shifts = [
+        _fiber_outcome(["twist", "--r", "5", "--g", str(g), "--beta", "1", "kappa1(1/5)"], g)[1]["total_shift"]
+        for g in (g0, g0 + 5)
+    ]
+    assert shifts == ["2 mod 5", "3 mod 5"]

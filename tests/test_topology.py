@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from rspin import errors
 from rspin.abelian import FgAbGroup
-from rspin.classes import FormalClass, Lambda, ModuliContext, free_coordinate, stable_genus
+from rspin.classes import FormalClass, Lambda, ModuliContext, free_coordinate, stable_genus, u_r
 from rspin.topology import (
     h1_moduli,
     h2_moduli,
@@ -89,8 +89,9 @@ class TestPi2Multiplier:
         assert pi2_multiplier(r) == free_coordinate(ctx, FormalClass.single(Lambda(r)))
 
     def test_integrality(self):
+        # the floor division is exact: r^2 u_r is a multiple of 12
         for r in range(2, 1001):
-            pi2_multiplier(r)
+            assert 12 * pi2_multiplier(r) == r * r * u_r(r)
 
 
 class TestModuliHomology:
