@@ -3,7 +3,13 @@
 Subcommands: report | eval | theta | twist | table. All reports are
 built as dictionaries whose leaves are strings (numerics in decimal) or
 booleans; the text renderer and --json both print that same dictionary,
-so the two formats carry identical data.
+so the two formats carry identical data. --json output is the text of
+`json.dumps(report, ensure_ascii=False, indent=2)`, written by `_json`:
+joins over the tree, with every key and string encoded by json's C
+string encoder (`indent` would send dumps to its pure-Python encoder).
+
+A plain argv is read straight from the parser's own actions
+(`_read_plain`); argparse parses every other argv.
 """
 
 from __future__ import annotations
@@ -66,11 +72,37 @@ def _scalar(v) -> str:
     return str(v)
 
 
+def _json(node, encode, pad: str = "") -> str:
+    """`json.dumps(node, ensure_ascii=False, indent=2)` for a report tree
+    of dicts with string keys, lists, strings and booleans, built by
+    joins. Keys and strings go through encode, which is
+    `json.encoder.encode_basestring`, the C function dumps calls for
+    them; any other leaf raises TypeError."""
+    if isinstance(node, str):
+        return encode(node)
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    inner = pad + "  "
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        items = [f"{encode(key)}: {_json(value, encode, inner)}" for key, value in node.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(node, list):
+        if not node:
+            return "[]"
+        items = [_json(item, encode, inner) for item in node]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, args) -> None:
     if args.json:
-        import json  # only --json output needs it
+        from json.encoder import encode_basestring  # only --json output needs it
 
-        print(json.dumps(report, ensure_ascii=False, indent=2))
+        print(_json(report, encode_basestring))
     else:
         print(_render_text(report, _use_color()))
 
@@ -109,7 +141,7 @@ def _make_ctx(args) -> ModuliContext:
     return ctx
 
 
-def cmd_report(args) -> dict:
+def cmd_report(args, max_digits) -> dict:
     ctx = _make_ctx(args)
     report = {"command": "report", "context": _context_dict(ctx)}
     report["u_r"] = str(ctx.u)
@@ -147,9 +179,9 @@ def cmd_report(args) -> dict:
     return report
 
 
-def cmd_eval(args) -> dict:
+def cmd_eval(args, max_digits) -> dict:
     ctx = _make_ctx(args)
-    x = expr.parse_class(args.expression, ctx.r)
+    x = expr.parse_class(args.expression, ctx.r, max_digits)
     coords = cl.canonical_coords(ctx, x)
     phi = cl.phi_value(ctx, x)
     report = {
@@ -169,7 +201,7 @@ def cmd_eval(args) -> dict:
     return report
 
 
-def cmd_theta(args) -> dict:
+def cmd_theta(args, max_digits) -> dict:
     ctx = _make_ctx(args)
     image = twists.tors_map_image(ctx)
     h1 = twists.h1_theta(ctx, image)
@@ -196,10 +228,10 @@ def cmd_theta(args) -> dict:
     return report
 
 
-def cmd_twist(args) -> dict:
+def cmd_twist(args, max_digits) -> dict:
     ctx = _make_ctx(args)
     tw = twists.TwistInput(ctx, args.arf, args.beta)
-    x = expr.parse_class(args.expression, ctx.r)
+    x = expr.parse_class(args.expression, ctx.r, max_digits)
     per_term, total = twists.twist_class(tw, x)
     report = {
         "command": "twist",
@@ -219,7 +251,7 @@ def cmd_twist(args) -> dict:
     return report
 
 
-def cmd_table(args) -> dict:
+def cmd_table(args, max_digits) -> dict:
     if args.r_min > args.r_max:
         raise ValueError(f"empty range: --r-min {args.r_min} is greater than --r-max {args.r_max}")
     if args.r_min < 2:
@@ -250,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     `set_defaults(func=cmd_*)` binds each subcommand's function when the
     parser is built, so replacing a `cmd_*` function after the first
     `main` call has no effect. `build_parser.__wrapped__()` builds a
-    fresh parser."""
+    fresh parser. The parser carries `plain_shapes`, the table that
+    `_read_plain` reads, made from the same `Action` objects."""
     parser = argparse.ArgumentParser(
         prog="rspin",
         description="Stable Picard groups and characteristic classes of r-Spin moduli spaces.",
@@ -258,52 +291,120 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--r", type=int, required=True, help="the root order r >= 2")
-        p.add_argument("--g", type=int, required=True, help="the genus g >= 2")
-        p.add_argument("--eps", type=int, choices=(0, 1), help="Arf invariant (even r only)")
-        p.add_argument("--force", action="store_true", help="allow genera below the stable range")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        return [
+            p.add_argument("--r", type=int, required=True, help="the root order r >= 2"),
+            p.add_argument("--g", type=int, required=True, help="the genus g >= 2"),
+            p.add_argument("--eps", type=int, choices=(0, 1), help="Arf invariant (even r only)"),
+            p.add_argument("--force", action="store_true", help="allow genera below the stable range"),
+            p.add_argument("--json", action="store_true", help="emit JSON instead of text"),
+        ]
+
+    actions = {}
 
     p = sub.add_parser("report", help="full structure report for one moduli space")
-    common(p)
+    actions["report"] = common(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("eval", help="canonical coordinates of a class expression")
-    common(p)
-    p.add_argument("expression", help="class expression, e.g. '3*lambda(1/3) + lambda'")
+    actions["eval"] = common(p) + [
+        p.add_argument("expression", help="class expression, e.g. '3*lambda(1/3) + lambda'"),
+    ]
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("theta", help="theta-characteristic space data")
-    common(p)
+    actions["theta"] = common(p)
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("twist", help="shift of a class under twisting")
-    common(p)
-    p.add_argument("--arf", type=int, choices=(0, 1), help="Arf invariant of the base structure")
-    p.add_argument("--beta", type=int, required=True, help="coefficient of beta(D)")
-    p.add_argument("expression", help="class expression to twist")
+    actions["twist"] = common(p) + [
+        p.add_argument("--arf", type=int, choices=(0, 1), help="Arf invariant of the base structure"),
+        p.add_argument("--beta", type=int, required=True, help="coefficient of beta(D)"),
+        p.add_argument("expression", help="class expression to twist"),
+    ]
     p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("table", help="per-r batch table")
-    p.add_argument("--r-min", type=int, required=True)
-    p.add_argument("--r-max", type=int, required=True)
-    p.add_argument("--json", action="store_true")
+    actions["table"] = [
+        p.add_argument("--r-min", type=int, required=True),
+        p.add_argument("--r-max", type=int, required=True),
+        p.add_argument("--json", action="store_true"),
+    ]
     p.set_defaults(func=cmd_table)
 
+    # what _read_plain reads: per subcommand, the namespace of defaults,
+    # the options by exact string, the positional and the required dests
+    parser.plain_shapes = {
+        name: (
+            {sub.dest: name, **{a.dest: a.default for a in acts}, "func": sub.choices[name].get_default("func")},
+            {s: a for a in acts for s in a.option_strings},
+            next((a for a in acts if not a.option_strings), None),
+            {a.dest for a in acts if a.required},
+        )
+        for name, acts in actions.items()
+    }
     return parser
+
+
+def _read_plain(argv):
+    """The namespace `build_parser().parse_args(argv)` returns, read
+    straight from the subcommand's actions, when argv has the plain
+    shape: a subcommand name, then only exact option strings each
+    followed by a value that does not start with "-", store_true flags,
+    and the one positional, with every value that `type` accepts and
+    in `choices` and every required option given. Any other argv gives
+    None and is left to argparse, so every usage error, help text and
+    exit code stays argparse's own."""
+    shape = build_parser().plain_shapes.get(argv[0]) if argv else None
+    if shape is None:
+        return None
+    defaults, options, positional, required = shape
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            if positional is None or positional.dest in values:
+                return None
+            action, value = positional, token
+        elif action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        else:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        if value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**defaults, **values})
 
 
 def main(argv=None) -> int:
     """Run one query. argv is parsed under the interpreter's int/str digit
-    limit, where it has one, which bounds the input. The answer may have
-    more digits (chi = 2 - 2g, r^2), so the query and its output run
-    without the limit, and it is restored before main returns."""
+    limit, where it has one, which bounds the input; the subcommand gets
+    the limit too, and holds the integer literals of an expression to
+    it. The answer may have more digits (chi = 2 - 2g, r^2), so the
+    query and its output run without the limit, and it is restored
+    before main returns."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = _read_plain(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         if limit is not None:
             sys.set_int_max_str_digits(0)
-        _emit(args.func(args), args)
+        _emit(args.func(args, limit), args)
         return EXIT_OK
     except errors.StableRangeError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -20,13 +20,16 @@ from .classes import FormalClass, Kappa1, Lambda, MU
 _TOKEN = re.compile(r"(\d+)|(lambda|kappa1|mu)|([()+\-*/])|(\S)")
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, max_digits=None):
     tokens = []
     for m in _TOKEN.finditer(text):
         num, name, op, bad = m.groups()
         if bad:
             raise errors.ParseError(f"unexpected character {bad!r}", m.start())
         if num:
+            if max_digits and len(num) > max_digits:
+                message = f"integer literal has {len(num)} digits, over the limit of {max_digits}"
+                raise errors.ParseError(message, m.start())
             tokens.append(("int", int(num), m.start()))
         elif name:
             tokens.append(("name", name, m.start()))
@@ -37,8 +40,8 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, r: int):
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, r: int, max_digits=None):
+        self.tokens = _tokenize(text, max_digits)
         self.i = 0
         self.r = r
 
@@ -120,6 +123,8 @@ class _Parser:
         return -num if neg else num
 
 
-def parse_class(text: str, r: int) -> FormalClass:
-    """Parse an expression like "3*lambda(1/4) - mu" in a given r."""
-    return _Parser(text, r).parse()
+def parse_class(text: str, r: int, max_digits=None) -> FormalClass:
+    """Parse an expression like "3*lambda(1/4) - mu" in a given r. With
+    max_digits (an int/str digit limit; 0 or None is none), an integer
+    literal of more digits is a ParseError, as int() would refuse it."""
+    return _Parser(text, r, max_digits).parse()

@@ -2,6 +2,7 @@
 and exit codes."""
 
 import argparse
+import contextlib
 import gc
 import io
 import json
@@ -9,9 +10,12 @@ import os
 import re
 import subprocess
 import sys
+from json.encoder import encode_basestring
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rspin import classes as cl
 from rspin import cli, topology, twists
@@ -495,6 +499,22 @@ class TestLongIntegers:
         assert "invalid int value" in err
         assert self._limit() == limit
 
+    @pytest.mark.parametrize("cmd", [["eval"], ["twist", "--beta", "1"]])
+    def test_expression_literal_at_the_limit(self, capsys, cmd):
+        # the query runs without the limit, but an expression is input:
+        # its literals are held to the limit that argv was parsed under
+        limit = self._limit()
+        if not limit:
+            pytest.skip("this interpreter has no int/str digit limit")
+        base = cmd[:1] + ["--r", "3", "--g", "10"] + cmd[1:]
+        code, out, err = run(capsys, *base, f"lambda({'1' * limit}/3)")
+        assert (code, err) == (0, "")
+        assert f"expression: lambda({'1' * limit}/3)\n" in out
+        code, out, err = run(capsys, *base, f"lambda({'1' * (limit + 1)}/3)")
+        assert (code, out) == (2, "")
+        assert err == f"error: integer literal has {limit + 1} digits, over the limit of {limit} (at position 7)\n"
+        assert self._limit() == limit
+
 
 class TestJson:
     @pytest.mark.parametrize(
@@ -646,6 +666,9 @@ class TestSharedParser:
             ["report", "--r", "3", "--g", "10"],
             ["eval", "--r", "3", "--g", "10", "3*lambda(1/3) + lambda"],
             ["eval", "--r", "3", "--g", "10", "lambda(1/"],
+            ["report", "--r", "3", "--g", "10", "--json"],
+            ["eval", "--r", "3", "--g", "10", "--json", "3*lambda(1/3) + lambda"],
+            ["eval", "--r", "3", "--g", "10", "--json", "lambda(1/"],
         ],
     )
     def test_no_cyclic_garbage(self, capsys, argv):
@@ -703,3 +726,116 @@ class TestSharedParser:
             assert exc.value.code == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] and outs[0] == outs[1] == outs[2]
+
+
+def _main_result(argv):
+    """(exit code, stdout, stderr) of one cli.main call; an argparse exit
+    gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Argv pieces for TestPlainReader: option strings, their prefixes,
+# --opt=value, help, the separator, unknown words, and values that are
+# plain, negative, padded, underscored, Unicode-digit, 4300 and 4301
+# digits long, empty or words
+_OPTIONS = ["--r", "--g", "--eps", "--arf", "--beta", "--r-min", "--r-max"]
+_FLAGS = ["--force", "--json"]
+_ODD = ["--fo", "--js", "--e", "--r-", "--be", "--r=4", "--eps=1", "--json=", "-h", "--help", "--", "-r", "--bogus"]
+_VALUES = ["0", "1", "2", "3", "4", "9", "10", "12", "-1", "-4", " 4", "4 ", "+4", "1_2", "1__2", "٤", "９", "١٠",
+           "", "x", "1e3", "9" * 4300, "9" * 4301]
+_EXPRESSIONS = ["3*lambda(1/3) + lambda", "mu", "lambda(1/", "kappa1(1/4) - lambda", "-lambda(1/3)", "-mu"]
+# per first word, option-value pairs of which a draw keeps some
+_CORES = {
+    "report": [("--r", "4"), ("--g", "9"), ("--eps", "1")],
+    "theta": [("--r", "3"), ("--g", "10")],
+    "eval": [("--r", "3"), ("--g", "10"), ("3*lambda(1/3) + lambda",)],
+    "twist": [("--r", "4"), ("--g", "9"), ("--eps", "1"), ("--arf", "1"), ("--beta", "1"), ("mu",)],
+    "table": [("--r-min", "2"), ("--r-max", "6")],
+    "bogus": [("--r", "4")],
+    "repor": [("--r", "4")],
+    "-h": [("--r", "4")],
+    "--json": [("--r", "4")],
+}
+
+
+@st.composite
+def _argvs(draw):
+    head = draw(st.sampled_from(sorted(_CORES)))
+    group = st.one_of(
+        st.tuples(st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)),
+        st.tuples(st.sampled_from(_FLAGS)),
+        st.tuples(st.sampled_from(_EXPRESSIONS)),
+        st.tuples(st.sampled_from(_ODD)),
+        st.tuples(st.sampled_from(_OPTIONS + _VALUES)),
+    )
+    core = draw(st.just(_CORES[head]) | st.lists(st.sampled_from(_CORES[head]), unique=True))
+    groups = draw(st.permutations(core + draw(st.just([]) | st.lists(group, max_size=4))))
+    return [head] + [token for g in groups for token in g]
+
+
+class TestPlainReader:
+    """Plain argvs are read straight from the subcommand's actions; every
+    other argv goes to argparse. Either way main's output is the same."""
+
+    @given(_argvs())
+    @settings(max_examples=400, deadline=None)
+    def test_same_as_argparse(self, argv):
+        # a table up to a 4300-digit r would not end
+        assume(not (argv[0] == "table" and "9" * 4300 in argv))
+        ns = cli._read_plain(argv)
+        if ns is not None:
+            assert vars(ns) == vars(cli.build_parser().parse_args(argv))
+        plain = _main_result(argv)
+        with mock.patch.object(cli, "_read_plain", lambda argv: None):
+            assert _main_result(argv) == plain
+
+    def test_reads_every_golden_argv(self):
+        from test_golden_digest import _argvs as golden_argvs
+
+        for argv in golden_argvs():
+            ns = cli._read_plain(argv)
+            assert ns is not None, argv
+            assert vars(ns) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--r", "6", "--eps", "0"],
+            ["report", "--r", "6", "--g", "10", "--eps", "0", "--bogus"],
+            ["theta", "--r", "6", "--g", "10", "--eps", "2"],
+        ],
+    )
+    def test_declines_usage_errors(self, argv):
+        assert cli._read_plain(argv) is None
+        code, out, err = _main_result(argv)
+        assert (code, out) == (2, "") and err.startswith("usage: rspin ")
+
+
+# report-like trees: string keys and values with quotes, backslashes,
+# control characters and non-BMP text, booleans, nested and empty
+# dicts and lists
+_TEXT = st.text(max_size=8) | st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t \U0001f600a'), max_size=8)
+_TREES = st.recursive(
+    st.one_of(_TEXT, st.booleans()),
+    lambda children: st.one_of(st.lists(children, max_size=4), st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @given(_TREES)
+    @settings(max_examples=150)
+    def test_matches_dumps(self, tree):
+        assert cli._json(tree, encode_basestring) == json.dumps(tree, ensure_ascii=False, indent=2)
+
+    @pytest.mark.parametrize("leaf", [0, 1.5, None])
+    def test_other_leaves_raise(self, leaf):
+        for tree in (leaf, [leaf], {"a": [True, {"b": leaf}]}):
+            with pytest.raises(TypeError):
+                cli._json(tree, encode_basestring)
