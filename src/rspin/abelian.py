@@ -322,16 +322,6 @@ class FgAbGroup(Value):
         return " ⊕ ".join(parts) if parts else "0"
 
 
-# Residuals with fewer rows than this are diagonalized as they are. On
-# k x (k + 1) residuals with entries in -9..9 other than +-1, _diagonalize
-# alone is 1.8 times as fast as the modular steps at two rows (29 against
-# 52 us) and 1.2 times at five (116 against 143), and behind at six. On
-# square ones the modular route is ahead from two rows on (58 against
-# 71 us at four), but the small residuals that presentations leave (1 x 2
-# and 2 x 3 on the benchmark's lattice workload) are not square.
-_MODULAR_ROWS = 5
-
-
 def group_from_presentation(n_generators: int, relations: IntMatrix) -> FgAbGroup:
     """Cokernel of the relation matrix (rows are relations) in canonical form.
 
@@ -351,11 +341,12 @@ def group_from_presentation(n_generators: int, relations: IntMatrix) -> FgAbGrou
       a shared +-1 column there removes a few rows but leaves larger
       entries, and fraction-free elimination on the rest costs about as
       much as on the whole.
-    * Few relations. A residual R of at most one row, on the k
+    * At most one relation. A residual R of at most one row, on the k
       generators it still involves, has cokernel Z^(k-1) + Z/gcd(row),
-      or Z^k. With fewer than _MODULAR_ROWS rows, _diagonalize brings R
-      to Smith form as it is.
-    * Rank and modulus (_rank_and_minor). Otherwise fraction-free
+      or Z^k. Every residual the golden CLI queries leave is of this
+      shape.
+    * Rank and modulus (_rank_and_minor). Any other residual takes the
+      modular route, this step and the two below it. Fraction-free
       elimination gives the rank rho of R and d = |a nonzero rho x rho
       minor|. The cokernel is Z^(k-rho) + T, and the product
       d_1 ... d_rho of the invariant factors of T is the gcd of all
@@ -403,10 +394,6 @@ def group_from_presentation(n_generators: int, relations: IntMatrix) -> FgAbGrou
         return FgAbGroup(free - len(rows), tuple(g for g in orders if g > 1))
     cols = sorted({c for pairs in rows for c, _ in pairs})
     dense = [[row.get(c, 0) for c in cols] for row in map(dict, rows)]
-    if len(rows) < _MODULAR_ROWS:
-        _diagonalize(dense, len(rows), len(cols))
-        nonzero = [dense[i][i] for i in range(min(len(rows), len(cols))) if dense[i][i]]
-        return FgAbGroup(free - len(nonzero), tuple(x for x in nonzero if x > 1))
     rank, d, h = _rank_and_minor(dense)
     m = gcd(d, pow(h, d.bit_length(), d)) if len(rows) == len(cols) == rank else d
     orders = (_cokernel_mod(dense, m) if m > 1 else []) + [d // m]

@@ -14,6 +14,7 @@ A plain argv is read straight from the parser's own actions
 
 from __future__ import annotations
 
+import _thread
 import argparse
 import functools
 import os
@@ -28,6 +29,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RANGE = 3
 EXIT_INTERNAL = 4
+
+# held by main from saving the int/str digit limit to restoring it
+_MAIN_LOCK = _thread.allocate_lock()
 
 
 def _use_color() -> bool:
@@ -394,33 +398,35 @@ def main(argv=None) -> int:
     the limit too, and holds the integer literals of an expression to
     it. The answer may have more digits (chi = 2 - 2g, r^2), so the
     query and its output run without the limit, and it is restored
-    before main returns."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        args = _read_plain(argv)
-        if args is None:
-            args = build_parser().parse_args(argv)
-        if limit is not None:
-            sys.set_int_max_str_digits(0)
-        _emit(args.func(args, limit), args)
-        return EXIT_OK
-    except errors.StableRangeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RANGE
-    except errors.InternalConsistencyError as e:
-        print(f"internal consistency error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (errors.RSpinError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    before main returns. The limit is process-wide: main calls run one
+    at a time, and while one runs the limit is lifted for every thread."""
+    with _MAIN_LOCK:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if argv is None:
+            argv = sys.argv[1:]
+        try:
+            args = _read_plain(argv)
+            if args is None:
+                args = build_parser().parse_args(argv)
+            if limit is not None:
+                sys.set_int_max_str_digits(0)
+            _emit(args.func(args, limit), args)
+            return EXIT_OK
+        except errors.StableRangeError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_RANGE
+        except errors.InternalConsistencyError as e:
+            print(f"internal consistency error: {e}", file=sys.stderr)
+            return EXIT_INTERNAL
+        except (errors.RSpinError, ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
+        except MemoryError:
+            print("error: out of memory", file=sys.stderr)
+            return EXIT_USAGE
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

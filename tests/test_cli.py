@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from json.encoder import encode_basestring
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rspin import classes as cl
-from rspin import cli, topology, twists
+from rspin import cli, expr, topology, twists
 
 
 @pytest.fixture(autouse=True)
@@ -515,6 +516,50 @@ class TestLongIntegers:
         assert err == f"error: integer literal has {limit + 1} digits, over the limit of {limit} (at position 7)\n"
         assert self._limit() == limit
 
+    def test_concurrent_call_parses_under_the_limit(self, capsys, monkeypatch):
+        # the limit is process-wide: while one main call runs its query
+        # with the limit lifted, another call must not parse argv unbounded
+        limit = self._limit()
+        if not limit:
+            pytest.skip("this interpreter has no int/str digit limit")
+        entered, release = threading.Event(), threading.Event()
+        parse_class = expr.parse_class
+
+        def waiting(*args):
+            entered.set()
+            release.wait()
+            return parse_class(*args)
+
+        monkeypatch.setattr(expr, "parse_class", waiting)
+        codes = {}
+
+        def call(name, *argv):
+            try:
+                codes[name] = cli.main(list(argv))
+            except SystemExit as e:
+                codes[name] = e.code
+
+        a = threading.Thread(
+            target=call,
+            args=("a", "eval", "--r", "9" * (limit - 1), "--g", "1" + "0" * (limit - 1), "--json", "lambda"),
+            daemon=True,
+        )
+        b = threading.Thread(target=call, args=("b", "report", "--r", "3", "--g", "9" * (limit + 1)), daemon=True)
+        a.start()
+        try:
+            assert entered.wait(timeout=60)
+            b.start()
+            b.join(timeout=0.2)  # without the lock, b runs to its end here
+        finally:
+            release.set()
+        a.join(timeout=60)
+        b.join(timeout=60)
+        assert codes == {"a": 0, "b": 2}
+        out, err = capsys.readouterr()
+        assert json.loads(out)["diagnosis"] == "infinite order"
+        assert "invalid int value" in err
+        assert self._limit() == limit
+
 
 class TestJson:
     @pytest.mark.parametrize(
@@ -682,8 +727,9 @@ class TestSharedParser:
             gc.enable()
 
     # standard modules that no query needs at import: dataclasses (which
-    # loads inspect), typing, fractions (eval loads it) and json (--json)
-    UNNEEDED = ("dataclasses", "inspect", "typing", "fractions", "json")
+    # loads inspect), typing, fractions (eval loads it), json (--json) and
+    # threading (main's lock comes from _thread)
+    UNNEEDED = ("dataclasses", "inspect", "typing", "fractions", "json", "threading")
 
     def test_import_builds_no_parser(self):
         child = (

@@ -1,20 +1,35 @@
 """The exit-code contract of the command line, fuzzed over argv in
 process: every run ends in 0, 2, 3 or 4 without a traceback, and a
-subcommand that fails prints nothing on stdout and one line on stderr."""
+subcommand that fails prints nothing on stdout and one line on stderr.
+Integer literals are short, or of exactly the int/str digit limit's
+length, or of one digit more."""
 
 import contextlib
 import io
+import sys
 
 from hypothesis import given, settings, strategies as st
 
 from rspin import cli
+from rspin.classes import stable_genus
 
 integers = st.integers(min_value=0, max_value=40).map(str)
+
+# (text, value) of numbers with exactly the digit limit's digits (4300
+# where the interpreter has none), which parse, and with one digit more,
+# which exit 2; the text is written digit by digit, since str() of the
+# longer one is over the limit
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+long_numbers = st.tuples(
+    st.sampled_from([LIMIT, LIMIT + 1]), st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=99)
+).map(lambda p: (f"{p[1]}{'0' * (p[0] - 3)}{p[2]:02d}", p[1] * 10 ** (p[0] - 1) + p[2]))
+long_literals = long_numbers.map(lambda p: p[0])
+literals = st.one_of(integers, integers, integers, long_literals)
 
 
 def fractions(r):
     den = st.one_of(st.just(r), st.just(r), st.integers(min_value=0, max_value=50)).map(str)
-    return st.tuples(st.sampled_from(["", "-"]), integers, den).map(lambda p: f"{p[0]}{p[1]}/{p[2]}")
+    return st.tuples(st.sampled_from(["", "-"]), literals, den).map(lambda p: f"{p[0]}{p[1]}/{p[2]}")
 
 
 def atoms(r):
@@ -24,7 +39,7 @@ def atoms(r):
 
 
 def terms(r):
-    coeff = st.one_of(st.just(""), integers, integers.map(lambda c: c + "*"))
+    coeff = st.one_of(st.just(""), literals, literals.map(lambda c: c + "*"))
     scaled = st.tuples(coeff, atoms(r)).map("".join)
     return st.one_of(scaled, scaled, st.just("0"), integers)
 
@@ -40,10 +55,14 @@ def expressions(r):
 
 
 def genera(r):
-    """Any g in -2..30, or one with a nonempty moduli space."""
+    """As text: any g in -2..30, one with a nonempty moduli space, or a
+    long literal."""
     nonempty = [g for g in range(2, 31) if r >= 2 and (2 - 2 * g) % r == 0]
+    if 2 <= r < 10**LIMIT:
+        nonempty.append(stable_genus(r))
     anything = st.integers(min_value=-2, max_value=30)
-    return st.one_of(anything, st.sampled_from(nonempty)) if nonempty else anything
+    short = (st.one_of(anything, st.sampled_from(nonempty)) if nonempty else anything).map(str)
+    return st.one_of(short, short, long_literals)
 
 
 @st.composite
@@ -55,8 +74,9 @@ def argvs(draw):
         argv = ["table", "--r-min", str(lo), "--r-max", str(hi)]
     else:
         # small r often, so that many draws reach a nonempty stable space
-        r = draw(st.one_of(st.integers(min_value=-2, max_value=400), st.integers(min_value=2, max_value=30)))
-        argv = [sub, "--r", str(r), "--g", str(draw(genera(r)))]
+        short = st.one_of(st.integers(min_value=-2, max_value=400), st.integers(min_value=2, max_value=30))
+        r_text, r = draw(st.one_of(short.map(lambda r: (str(r), r)), long_numbers))
+        argv = [sub, "--r", r_text, "--g", draw(genera(r))]
         for flag in ("--eps",) + (("--arf",) if sub == "twist" else ()):
             fitting = st.sampled_from([0, 1] if r % 2 == 0 else [None])
             value = draw(st.one_of(fitting, st.sampled_from([None, 0, 1])))
@@ -65,9 +85,10 @@ def argvs(draw):
         if draw(st.booleans()):
             argv.append("--force")
         if sub == "twist":
-            argv += ["--beta", str(draw(st.integers(min_value=-5, max_value=5)))]
+            beta = st.integers(min_value=-5, max_value=5).map(str)
+            argv += ["--beta", draw(st.one_of(beta, beta, long_literals))]
         if sub in ("eval", "twist"):
-            argv.append(draw(expressions(r)))
+            argv.append(draw(expressions(r_text)))
     if draw(st.booleans()):
         argv.append("--json")
     return argv
