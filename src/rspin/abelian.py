@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import compress
+from itertools import chain, compress, islice, repeat
 from math import gcd, lcm, prod
 
 
@@ -553,6 +553,11 @@ def kernel_lattice(hom: HomZN) -> IntMatrix:
       (a divisor of N) while L has rank one, then that of L in Z^2,
       at most N |f| for the free part f that raised the rank. So there
       are O(log N + log |f|) special columns.
+    * Runs. Between special columns the basis is fixed, so each column
+      there has pivot 1 and the row e_j minus the basis coefficients
+      combined as (f_j, t_j) reads off the basis. A run of them (when L
+      is Z^2, all the columns left) is built a column at a time over
+      the whole run. A special column is a run of one, with pivot d_j.
     * Reduction. Each new row's entries at the later pivots d_i > 1 are
       reduced into [0, d_i) by those rows, in ascending column order;
       at a later pivot d_i = 1 its entry is already 0, as [0, 1) asks.
@@ -564,47 +569,70 @@ def kernel_lattice(hom: HomZN) -> IntMatrix:
     nonzero entries per row, not the cubic cost of reducing k + 1 rows.
     """
     images = hom.generator_images
-    k = len(images)
     basis = [(0, hom.ambient_torsion, {})]  # (free, torsion, coefficients)
-    rows = {}  # pivot column -> sparse row
-    reducers = []  # special pivot columns with d_j > 1, descending
-    for j in range(k - 1, -1, -1):
+    special = []  # the special columns beyond the current one, ascending
+    reducers = []  # (column, pivot, rest of row) of those with d_j > 1, ascending
+    runs = []  # lists of rows, by descending column
+    j = len(images) - 1
+    while j >= 0:
         f, t = images[j]
         d, combo = _order_mod(f, t, basis)
+        lo, xs = _member_run(images, j, basis) if d == 1 else (j, list(zip(combo)))
         if d:
-            row = {j: d}
-            for x, (_, _, coeffs) in zip(combo, basis):
-                if x:
-                    _axpy(row, -x, coeffs)
-            for c in reversed(reducers):
-                q = row.get(c, 0) // rows[c][c]
-                if q:
-                    _axpy(row, -q, rows[c])
-            rows[j] = row
+            runs.append(_run_rows(range(lo, j + 1), d, xs, basis, special, reducers))
+        if d > 1:
+            reducers.insert(0, (j, d, runs[-1][0][1:]))
         if d != 1 and j:  # no column reads L_0
             basis = _hermite2(basis + [(f, t, {j: 1})])
-            if d:
-                reducers.append(j)
-    return IntMatrix(len(rows), k, tuple(tuple(sorted(rows[j].items())) for j in sorted(rows)))
+            special.insert(0, j)
+        j = lo - 1
+    rows = tuple(chain.from_iterable(reversed(runs)))
+    return IntMatrix(len(rows), len(images), rows)
 
 
-def _axpy(acc: dict, a: int, x: dict) -> None:
-    """acc += a * x for sparse vectors, dropping zero entries."""
-    for c, v in x.items():
-        s = acc.get(c, 0) + a * v
-        if s:
-            acc[c] = s
-        else:
-            acc.pop(c, None)
+def _member_run(images, j: int, basis: list) -> tuple:
+    """(lo, xs) for an image j in the lattice of the Hermite basis: the
+    least lo with images lo .. j all in it, and xs[i][n] the coefficient
+    of basis[i] in image lo + n."""
+    back = zip(range(j - 1, -1, -1), islice(reversed(images), len(images) - j, None))
+    if len(basis) == 1:
+        h = basis[0][1]
+        lo = 1 + next((i for i, (f, t) in back if f or t % h), -1)
+        return lo, [[t // h for _, t in images[lo : j + 1]]]
+    (a, b, _), (_, h, _) = basis
+    lo = 0 if a == h == 1 else 1 + next((i for i, (f, t) in back if f % a or (t - f // a * b) % h), -1)
+    x0 = [f // a for f, _ in images[lo : j + 1]]
+    return lo, [x0, [(t - x * b) // h for x, (_, t) in zip(x0, images[lo : j + 1])]]
+
+
+def _run_rows(columns, d: int, xs: list, basis: list, special: list, reducers: list) -> list:
+    """The rows d e_j - sum_i xs[i][n] (coefficients of basis[i]) for the
+    n-th of the columns j, reduced by the reducers, as (column, entry)
+    pairs: one list per special column, one quotient pass per reducer."""
+    if len(basis) == 1:  # pad it with a zero vector with no coefficients
+        xs, basis = xs * 2, [(0, 0, {})] + basis
+    (x0, x1), ((_, _, c0), (_, _, c1)) = xs, basis
+    cols = {}
+    for s in special:
+        m0, m1 = c0.get(s, 0), c1.get(s, 0)
+        cols[s] = [-m0 * x - m1 * y for x, y in zip(x0, x1)]
+    for c, p, rest in reducers:
+        q = [v // p for v in cols[c]]
+        if any(q):
+            cols[c] = [v % p for v in cols[c]]
+            for s, e in rest:
+                cols[s] = [v - e * y for v, y in zip(cols[s], q)]
+    values = zip(*cols.values()) if cols else repeat(())
+    return [((j, d), *compress(zip(special, v), v)) for j, v in zip(columns, values)]
 
 
 def _order_mod(f: int, t: int, basis: list):
     """(d, combo): the least d > 0 with d (f, t) in the lattice of the
     Hermite basis, and combo with d (f, t) = sum combo_i basis_i;
-    (0, None) when (f, t) has infinite order modulo it. Only b[0] and b[1]
+    (0, ()) when (f, t) has infinite order modulo it. Only b[0] and b[1]
     are read. d == 1 is membership, as SubgroupInfo.contains uses it."""
     if f and not basis[0][0]:
-        return 0, None
+        return 0, ()
     d, w, combo = 1, (f, t), []
     for b in basis:
         col = 0 if b[0] else 1
@@ -640,9 +668,9 @@ def _hermite2(vectors: list) -> list:
 
 def _combine(p: int, v: tuple, q: int, w: tuple) -> tuple:
     """p v + q w for (free, torsion, coefficients) vectors."""
-    coeffs = {c: p * x for c, x in v[2].items()} if p else {}
-    if q:
-        _axpy(coeffs, q, w[2])
+    coeffs = {c: p * x for c, x in v[2].items()}
+    for c, x in w[2].items():
+        coeffs[c] = coeffs.get(c, 0) + q * x
     return (p * v[0] + q * w[0], p * v[1] + q * w[1], coeffs)
 
 

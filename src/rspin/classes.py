@@ -271,8 +271,7 @@ def symbol_record(ctx: ModuliContext, sym: ClassSymbol, arf: int | None = None) 
 
 def _free_and_phi(ctx: ModuliContext, x: FormalClass) -> tuple:
     """The free and phi columns of the records of x's terms, summed with
-    x's coefficients (phi not yet reduced mod 24)."""
-    ctx.require_h2_range()
+    x's coefficients (phi not yet reduced mod 24), range unchecked."""
     d = phi = 0
     for s, c in x.terms:
         v, p, _ = symbol_record(ctx, s)
@@ -283,11 +282,13 @@ def _free_and_phi(ctx: ModuliContext, x: FormalClass) -> tuple:
 def free_coordinate(ctx: ModuliContext, x: FormalClass) -> int:
     """Image of x in the rank-one torsion-free quotient, as a multiple of
     the fixed positive generator."""
+    ctx.require_h2_range()
     return _free_and_phi(ctx, x)[0]
 
 
 def phi_value(ctx: ModuliContext, x: FormalClass) -> int:
     """The detection homomorphism into Z/24 (injective on torsion)."""
+    ctx.require_h2_range()
     return _free_and_phi(ctx, x)[1] % 24
 
 
@@ -392,20 +393,20 @@ class CanonicalCoords(Value):
 def canonical_coords(ctx: ModuliContext, x: FormalClass) -> CanonicalCoords:
     ctx.require_nonempty()
     ctx.require_h2_range()
-    return _coords(ctx, x, phi_value(ctx, generator_lift(ctx)))
+    return CanonicalCoords(*_coords(ctx, x, phi_value(ctx, generator_lift(ctx))), ctx.torsion_order)
 
 
-def _coords(ctx: ModuliContext, x: FormalClass, lift_phi) -> CanonicalCoords:
-    """canonical_coords given phi of the generator lift, which callers
-    mapping many classes compute once."""
+def _coords(ctx: ModuliContext, x: FormalClass, lift_phi: int) -> tuple:
+    """(d, tau) of canonical_coords as ints, given phi of the generator
+    lift, which callers mapping many classes compute once. Callers check
+    the context."""
     d, phi = _free_and_phi(ctx, x)
     tau = (phi - d * lift_phi) % 24
-    n = ctx.torsion_order
-    if tau % (24 // n):
+    if tau % (24 // ctx.torsion_order):
         raise errors.InternalConsistencyError(
-            f"torsion part of a class maps to {tau} in Z/24, outside the order-{n} subgroup"
+            f"torsion part of a class maps to {tau} in Z/24, outside the order-{ctx.torsion_order} subgroup"
         )
-    return CanonicalCoords(d, tau, n)
+    return d, tau
 
 
 def equals(ctx: ModuliContext, x: FormalClass, y: FormalClass) -> bool:
@@ -504,12 +505,13 @@ def render_relation(row: Sequence[int], names: Sequence[str]) -> str:
 
 
 def coords_hom(ctx: ModuliContext, gens: Sequence[FormalClass]) -> HomZN:
-    """The map Z^k -> Z + Z/N induced by canonical coordinates."""
+    """The map Z^k -> Z + Z/N taking each class to (d, tau / (24/N))."""
     ctx.require_nonempty()
     ctx.require_h2_range()
     lift_phi = phi_value(ctx, generator_lift(ctx))
+    unit = 24 // ctx.torsion_order
     coords = [_coords(ctx, x, lift_phi) for x in gens]
-    return HomZN(ctx.torsion_order, tuple((c.d, c.tau_reduced) for c in coords))
+    return HomZN(ctx.torsion_order, tuple((d, tau // unit) for d, tau in coords))
 
 
 def presentation(ctx: ModuliContext, generators: Sequence[FormalClass]) -> Presentation:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from rspin import errors
-from rspin.abelian import IntMatrix
+from rspin.abelian import HomZN, IntMatrix, _hermite2, _order_mod
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -63,6 +63,49 @@ def rank(a: IntMatrix) -> int:
             m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         r += 1
     return r
+
+
+# kernel_lattice as it was before it built the rows of each run of member
+# columns together, which rspin.abelian.kernel_lattice is compared with.
+
+
+def kernel_lattice_by_rows(hom: HomZN) -> IntMatrix:
+    """The kernel's Hermite basis by the same sweep as kernel_lattice,
+    each row built alone as a sparse dict: d_j e_j minus the basis
+    coefficients of combo, reduced by the rows with pivots above 1."""
+    images = hom.generator_images
+    k = len(images)
+    basis = [(0, hom.ambient_torsion, {})]  # (free, torsion, coefficients)
+    rows = {}  # pivot column -> sparse row
+    reducers = []  # special pivot columns with d_j > 1, descending
+    for j in range(k - 1, -1, -1):
+        f, t = images[j]
+        d, combo = _order_mod(f, t, basis)
+        if d:
+            row = {j: d}
+            for x, (_, _, coeffs) in zip(combo, basis):
+                if x:
+                    _axpy(row, -x, coeffs)
+            for c in reversed(reducers):
+                q = row.get(c, 0) // rows[c][c]
+                if q:
+                    _axpy(row, -q, rows[c])
+            rows[j] = row
+        if d != 1 and j:  # no column reads L_0
+            basis = _hermite2(basis + [(f, t, {j: 1})])
+            if d:
+                reducers.append(j)
+    return IntMatrix(len(rows), k, tuple(tuple(sorted(rows[j].items())) for j in sorted(rows)))
+
+
+def _axpy(acc: dict, a: int, x: dict) -> None:
+    """acc += a * x for sparse vectors, dropping zero entries."""
+    for c, v in x.items():
+        s = acc.get(c, 0) + a * v
+        if s:
+            acc[c] = s
+        else:
+            acc.pop(c, None)
 
 
 # The expression tokenizer as it was before it became one finditer pass,

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import det, rank
+from oracles import det, kernel_lattice_by_rows, rank
 from rspin import abelian
 from rspin.abelian import (
     FgAbGroup,
@@ -627,6 +627,36 @@ def kernel_maps(draw, max_k=60, huge_moduli=True):
     return HomZN(n, tuple(images))
 
 
+@st.composite
+def kernel_runs(draw, max_k=400):
+    """Maps Z^k -> Z + Z/N, N | 24 or up to 10^12, made of runs, so that
+    kernel_lattice's sweep meets long runs of member columns with special
+    columns inside them: (0, t) columns with t a multiple of m, which
+    keep the lattice at rank one while they are all the sweep has seen;
+    free parts that are multiples of a; and the lattice workload's
+    shape, f in [-50, 50] and t in [0, N). About one column in 24 of a
+    run is (f, t) with f in {0, +-1, 7} and any t instead, which the
+    lattice of the run need not contain. The entries come from a drawn
+    seed."""
+    n = draw(st.one_of(divisors_of_24, st.integers(min_value=1, max_value=10**12)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    kinds = st.sampled_from(["torsion", "multiples", "workload"])
+    images = []
+    for kind, length in draw(st.lists(st.tuples(kinds, st.integers(min_value=1, max_value=150)), max_size=6)):
+        m = gcd(n, draw(st.sampled_from([1, 2, 3, 4, 6, 12, 24, n])))
+        a = draw(st.sampled_from([1, 2, 6, 50]))
+        for _ in range(length):
+            if rng.randrange(24) == 0:
+                images.append((rng.choice([0, 1, -1, 7]), rng.randrange(n)))
+            elif kind == "torsion":
+                images.append((0, m * rng.randrange(n // m)))
+            elif kind == "multiples":
+                images.append((a * rng.randint(-3, 3), rng.randrange(n)))
+            else:
+                images.append((rng.randint(-50, 50), rng.randrange(n)))
+    return HomZN(n, tuple(images[:max_k]))
+
+
 class TestUnitPivotResidual:
     @given(kernel_maps())
     @example(HomZN(2, ((1, 1), (2, 0))))  # kernel row (2, -1): no pivot in column 1
@@ -724,7 +754,27 @@ class TestKernelLattice:
     @given(kernel_maps())
     @settings(max_examples=150, deadline=None)
     def test_vs_hermite_oracle(self, hom):
-        assert kernel_lattice(hom) == _hermite_kernel(hom)
+        assert kernel_lattice(hom) == _hermite_kernel(hom) == kernel_lattice_by_rows(hom)
+
+    @given(kernel_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_runs_vs_references(self, hom):
+        # the general Hermite reduction is cubic in k: past k = 160 an
+        # example would take seconds, so there only the row-at-a-time
+        # sweep, itself checked against it above, is the reference
+        ker = kernel_lattice(hom)
+        assert ker == kernel_lattice_by_rows(hom)
+        if len(hom.generator_images) <= 160:
+            assert ker == _hermite_kernel(hom)
+
+    @pytest.mark.parametrize("k", [20, 40, 80, 150, 200])
+    @pytest.mark.parametrize("n", [4, 8, 12, 24])
+    def test_lattice_workload_shapes(self, k, n):
+        # the benchmark's kernel ops: f in [-50, 50], t in [0, N)
+        rng = random.Random(f"{k}:{n}")
+        for _ in range(3):
+            hom = HomZN(n, tuple((rng.randint(-50, 50), rng.randrange(n)) for _ in range(k)))
+            assert kernel_lattice(hom) == _hermite_kernel(hom) == kernel_lattice_by_rows(hom)
 
     @given(kernel_maps(huge_moduli=False))
     @settings(max_examples=60, deadline=None)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rspin import classes as cl
-from rspin import cli, expr, topology, twists
+from rspin import cli, errors, expr, topology, twists
 
 
 @pytest.fixture(autouse=True)
@@ -441,12 +441,14 @@ class TestResourceFailure:
 
 
 class TestTorsionSubgroupCheck:
-    """_coords' check that a class's torsion part lies in the order-N
-    subgroup of Z/24 is the exit-4 route for a wrong phi column: with
-    mu's phi moved from 1 to 5, this golden argv would otherwise print a
-    wrong tau."""
+    """classes._coords, the one home of the rule that a class's torsion
+    part lies in the order-N subgroup of Z/24, is the exit-4 route for a
+    wrong phi column: with mu's phi moved from 1 to 5, this golden argv
+    would otherwise print a wrong tau. coords_hom, which maps every class
+    of a presentation, meets the same check."""
 
-    def test_wrong_mu_phi_exits_4(self, capsys, monkeypatch):
+    @pytest.fixture
+    def shifted_mu_phi(self, monkeypatch):
         record = cl.symbol_record
 
         def shifted(ctx, sym, arf=None):
@@ -454,12 +456,21 @@ class TestTorsionSubgroupCheck:
             return v, phi + 4 if sym == cl.MU else phi, w
 
         monkeypatch.setattr(cl, "symbol_record", shifted)
+
+    def test_wrong_mu_phi_exits_4(self, capsys, shifted_mu_phi):
         code, out, err = run(capsys, "eval", "--r", "2", "--g", "9", "--eps", "0", "lambda(1/2) - 2*kappa1(1/2) + mu")
         assert code == 4 and out == ""
         assert err == (
             "internal consistency error: torsion part of a class maps to 16 in Z/24,"
             " outside the order-4 subgroup\n"
         )
+
+    def test_wrong_mu_phi_in_coords_hom(self, shifted_mu_phi):
+        ctx = cl.ModuliContext(2, 9, 0)
+        gens = [cl.FormalClass.single(s) for s in cl.default_symbols(2)]
+        pattern = r"torsion part of a class maps to \d+ in Z/24, outside the order-4 subgroup"
+        with pytest.raises(errors.InternalConsistencyError, match=pattern):
+            cl.coords_hom(ctx, gens)
 
 
 class TestLongIntegers:

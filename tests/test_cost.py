@@ -13,18 +13,27 @@ path loops over anything that grows with g either. Only equality is
 pinned; the counts themselves differ between CPython versions.
 Big-integer arithmetic inside one instruction is not counted.
 
+kernel_lattice builds the rows of each run of member columns together;
+at k = 1000 and 2000 columns it executes at most half the instructions
+of the row-at-a-time reference in tests/oracles.py on the same input.
+
 Running this file as a script prints the warm counts of the README's
-example commands with --json.
+example commands with --json, the instructions per column of
+kernel_lattice (k = 1000 -> 2000) and per named class of presentation
+(r = 1000 -> 2000).
 """
 
 import contextlib
 import gc
 import io
+import random
 import sys
 
 import pytest
 
-from rspin import cli
+from oracles import kernel_lattice_by_rows
+from rspin import classes as cl, cli
+from rspin.abelian import HomZN, kernel_lattice
 from rspin.classes import stable_genus
 
 README_EXAMPLES = [
@@ -36,8 +45,8 @@ README_EXAMPLES = [
 ]
 
 
-def count_instructions(argv):
-    """(exit code, bytecode instructions executed) of one cli.main call."""
+def instructions(fn, *args):
+    """(result, bytecode instructions executed) of one call fn(*args)."""
     executed = 0
 
     def on_opcode(frame, event, arg):
@@ -53,14 +62,34 @@ def count_instructions(argv):
 
     # no collection inside the call: it could run other objects' finalizers
     gc.disable()
+    sys.settrace(on_call)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    return result, executed
+
+
+def count_instructions(argv):
+    """(exit code, bytecode instructions executed) of one cli.main call."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        sys.settrace(on_call)
-        try:
-            code = cli.main(list(argv))
-        finally:
-            sys.settrace(None)
-            gc.enable()
-    return code, executed
+        return instructions(cli.main, list(argv))
+
+
+def kernel_map(k, modulus=24, free=50):
+    """The lattice workload's kernel shape: the last k of 2000 images
+    (f, t), f in [-free, free] and t in [0, N); free = 0 gives the theta
+    subgroup's. The sweep meets the same last columns at every k."""
+    rng = random.Random(f"{modulus}:{free}")
+    images = [(rng.randint(-free, free), rng.randrange(modulus)) for _ in range(2000)]
+    return HomZN(modulus, tuple(images[-k:]))
+
+
+def named_classes(r):
+    """The context at the stable genus of r and every named class."""
+    ctx = cl.ModuliContext(r, stable_genus(r), None if r % 2 else 0)
+    return ctx, [cl.FormalClass.single(s) for s in cl.default_symbols(r)]
 
 
 def _argv(kind, r, g, eps):
@@ -113,8 +142,38 @@ def test_count_independent_of_g(warm, kind):
         assert_same_count(kind, c, {k: _argv(kind, r, g0 + k * step, eps) for k in (0, 1, 10**6, 10**300)})
 
 
+@pytest.fixture(scope="module")
+def warm_kernels():
+    # CPython 3.13 counts fewer instructions in the first traced calls
+    for fn in (kernel_lattice, kernel_lattice_by_rows):
+        instructions(fn, kernel_map(30))
+
+
+@pytest.mark.parametrize("k", [1000, 2000])
+@pytest.mark.parametrize("modulus, free", [(24, 50), (10**12, 0)])
+def test_kernel_at_most_half_the_row_reference(warm_kernels, k, modulus, free):
+    hom = kernel_map(k, modulus=modulus, free=free)
+    ker, executed = instructions(kernel_lattice, hom)
+    reference, by_rows = instructions(kernel_lattice_by_rows, hom)
+    assert ker == reference
+    assert 2 * executed <= by_rows, (executed / k, by_rows / k)
+
+
+def per_unit(fn, small, large):
+    """Warm instructions per unit of size of fn between two argument
+    tuples, each with its size first."""
+    (n0, *args0), (n1, *args1) = small, large
+    instructions(fn, *args0)
+    return (instructions(fn, *args1)[1] - instructions(fn, *args0)[1]) / (n1 - n0)
+
+
 if __name__ == "__main__":
     for argv in README_EXAMPLES:
         count_instructions(argv + ["--json"])
     for argv in README_EXAMPLES:
         print(argv[0], count_instructions(argv + ["--json"])[1])
+    sizes = (1000, kernel_map(1000)), (2000, kernel_map(2000))
+    print("kernel_lattice per column", per_unit(kernel_lattice, *sizes))
+    print("row reference per column", per_unit(kernel_lattice_by_rows, *sizes))
+    (c0, g0), (c1, g1) = named_classes(1000), named_classes(2000)
+    print("presentation per class", per_unit(cl.presentation, (len(g0), c0, g0), (len(g1), c1, g1)))
