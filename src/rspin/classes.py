@@ -9,7 +9,7 @@ generators, and generator/relation presentations.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import gcd, isqrt
+from math import gcd
 
 from . import errors
 from .abelian import (
@@ -18,7 +18,6 @@ from .abelian import (
     SubgroupInfo,
     Value,
     element_order,
-    ext_gcd,
     group_from_presentation,
     kernel_lattice,
     subgroup_info,
@@ -94,9 +93,6 @@ class FormalClass(Value):
     @classmethod
     def single(cls, sym: ClassSymbol, coeff: int = 1) -> "FormalClass":
         return cls(((sym, coeff),) if coeff else ())
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __add__(self, other: "FormalClass") -> "FormalClass":
         return FormalClass.of(list(self.terms) + list(other.terms))
@@ -311,71 +307,40 @@ def default_symbols(r: int) -> list:
     return syms
 
 
+# (x, y, delta) of generator_lift at r mod 12 = 0, 1, ..., 11
+_LIFT_ROWS = ((3, 3, 0), (1, 0, 0), (0, 0, -1), (0, 3, 0), (0, -1, 0), (1, 0, 0),
+              (3, 2, 1), (1, 0, 0), (1, 1, 0), (0, 3, 0), (0, 0, -1), (1, 0, 0))
+
+
 def generator_lift(ctx: ModuliContext) -> FormalClass:
-    """A fixed integral class with free coordinate +1.
+    """The fixed integral class L with free coordinate +1 that splits H^2
+    as Z + Z/N: one row (x, y, delta) per residue c = r mod 12 gives
 
-    Well-defined only up to torsion; fixed as the extended gcd
-    (g, combo) <- ext_gcd(g, v) run over the free coordinates v of
-    default_symbols(r), in order, so coordinates are stable across runs.
-    Only the symbols whose step changes (g, combo) are stepped, by two
-    facts about v(a) = u(r^2 - 6ar + 6a^2)/12, the free coordinate of
-    lambda(a/r):
+        L = x lambda + y lambda(1/r) + delta mu + gamma kappa1(1/r),
+        gamma = (1 - x d(lambda) - y d(lambda(1/r)) - delta d(mu)) / u,
 
-    (i) for g > 0 dividing v, ext_gcd(g, v) = (g, 1, 0), a no-op, unless
-        v is g, -g or -2g (then it is (g, 0, 1), (g, 0, -1), (g, -1, -1));
-    (ii) g = gcd(v(0), v(1)) divides every v(a). A prime p >= 5 dividing
-        both would divide r^2 and r - 1. 3 does not divide v(0) = ur^2/12
-        if 3 does not divide r, nor v(0) - v(1) = u(r - 1)/2 if it does.
-        4 does not divide v(0) for odd r (it is odd), nor u(r - 1)/2 for
-        even r. So g is 1 or 2, and v(a + 2) - v(a) = u(2a + 2 - r) is
-        even because u is.
+    where d is the free coordinate, and phi(L) = 2x + 2y + delta = P[c]:
 
-    So after lambda(1/r) the walk steps only the roots of v(a) in
-    {g, -g, -2g}, found by one isqrt each. The cost does not grow with r.
+        c             (x, y, delta)   P[c]
+        1, 5, 7, 11   (1, 0, 0)       2
+        2, 10         (0, 0, -1)      23
+        4             (0, -1, 0)      22
+        3, 9          (0, 3, 0)       6
+        8             (1, 1, 0)       4
+        0             (3, 3, 0)       12
+        6             (3, 2, 1)       11
+
+    So eval's tau of a class x is (phi(x) - d(x) P[r mod 12]) mod 24.
+    tests/test_closed_form_proofs.py proves gamma an integer for every r;
+    a remainder is an internal error.
     """
     ctx.require_h2_range()
-    r = ctx.r
-    g, combo = 0, {}
-
-    def step(sym):
-        nonlocal g, combo
-        g, x, y = ext_gcd(g, symbol_record(ctx, sym)[0])
-        combo = {s: x * c for s, c in combo.items()}
-        combo[sym] = combo.get(sym, 0) + y
-
-    step(Lambda(0))
-    step(Lambda(1))
-    if g not in (1, 2):
-        raise errors.InternalConsistencyError(f"lambda(0/r) and lambda(1/r) have common factor {g} at r = {r}")
-    for b in _lambda_roots(ctx, (g, -g, -2 * g), 2, r + 1):
-        step(Lambda(b))
-    step(Kappa1(1))
-    if r % 2 == 0:
-        step(MU)
-    if g != 1:
-        raise errors.InternalConsistencyError(
-            f"divisibilities of the named classes have common factor {g} at r = {r}"
-        )
-    return FormalClass.of(combo.items())
-
-
-def _lambda_roots(ctx: ModuliContext, values: Sequence[int], lo: int, hi: int) -> list:
-    """The a in [lo, hi) whose lambda(a/r) has free coordinate in values,
-    ascending: the integer roots of 6a^2 - 6ra + r^2 - 12t/u, t in values."""
-    r, roots = ctx.r, set()
-    for t in values:
-        c, rem = divmod(12 * t, ctx.u)
-        disc = 12 * r * r + 24 * c
-        if rem or disc < 0:
-            continue
-        s = isqrt(disc)
-        if s * s != disc:
-            continue
-        for num in (6 * r - s, 6 * r + s):
-            a, rem = divmod(num, 12)
-            if not rem and lo <= a < hi:
-                roots.add(a)
-    return sorted(roots)
+    x, y, delta = _LIFT_ROWS[ctx.r % 12]
+    terms = [(Lambda(ctx.r), x), (Lambda(1), y), (MU, delta)]
+    gamma, rem = divmod(1 - _free_and_phi(ctx, FormalClass.of(terms))[0], ctx.u)
+    if rem:
+        raise errors.InternalConsistencyError(f"the generator lift at r = {ctx.r} is not integral")
+    return FormalClass.of(terms + [(Kappa1(1), gamma)])
 
 
 class CanonicalCoords(Value):
@@ -383,11 +348,6 @@ class CanonicalCoords(Value):
     phi-value tau in Z/24 of the torsion part (a multiple of 24/N)."""
 
     __slots__ = ("d", "tau", "torsion_order")
-
-    @property
-    def tau_reduced(self) -> int:
-        """tau rescaled to an element of Z/N."""
-        return self.tau // (24 // self.torsion_order)
 
 
 def canonical_coords(ctx: ModuliContext, x: FormalClass) -> CanonicalCoords:

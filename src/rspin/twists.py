@@ -72,9 +72,6 @@ class ZrSubgroup(Value):
     def order(self) -> int:
         return self.modulus // self.generator
 
-    def is_trivial(self) -> bool:
-        return self.generator == self.modulus
-
 
 def tors_map_image(ctx: ModuliContext) -> ZrSubgroup:
     """Image in Z/r of the torsion subgroup under the fiber restriction.

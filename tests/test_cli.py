@@ -18,6 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import bench_oracle
 from rspin import classes as cl
 from rspin import cli, errors, expr, topology, twists
 
@@ -144,6 +145,34 @@ class TestEval:
         code, out, err = run(capsys, *argv, "--", "-lambda(1/3)")
         assert code == 0, err
         assert "expression: -lambda(1/3)" in out
+
+    @given(
+        st.integers(min_value=0, max_value=11),
+        st.integers(min_value=1, max_value=10**298) | st.integers(min_value=1, max_value=50),
+        st.sampled_from([0, 1]),
+        st.lists(
+            st.tuples(st.sampled_from(["lambda", "kappa1", "mu"]), st.integers(-60, 60), st.integers(-9, 9)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tau_rule(self, c, k, eps, terms):
+        """eval's tau is (phi - d P[r mod 12]) mod 24 at every r, where P[c]
+        is phi of the generator lift; d and phi are checked against the
+        closed forms of bench/oracle.py."""
+        P = (12, 2, 23, 6, 22, 2, 11, 2, 4, 6, 23, 2)
+        r = 12 * k + c
+        odd = r % 2
+        terms = bench_oracle.normalize([t for t in terms if not (odd and t[0] == "mu")])
+        g = 9 + (1 - 9) % (r if odd else r // 2)
+        argv = ["eval", "--r", str(r), "--g", str(g)] + ([] if odd else ["--eps", str(eps)])
+        code, out, err = _main_result(argv + ["--json", "--", bench_oracle.render_class(r, terms)])
+        assert code == 0, err
+        report = json.loads(out)
+        d, phi = bench_oracle.class_coords(r, terms)
+        assert (int(report["d"]), int(report["phi"])) == (d, phi)
+        assert int(report["tau"]) == (phi - d * P[c]) % 24
 
 
 class TestTheta:

@@ -29,7 +29,16 @@ The forms, and their degrees in each variable:
   and 1 in j;
 * the free coordinate of the difference of the two sides of the named-class
   identities (second differences of lambda(a/r), kappa1 powers), of degree
-  (2, 2) and (0, 2); it must be 0.
+  (2, 2) and (0, 2); it must be 0;
+* the kappa1(1/r) coefficient gamma of classes.generator_lift, of degree 2
+  in k.
+
+One statement is checked over a period instead: every named class x has
+phi(x) = d(x) P[c] mod 24/N, so eval's tau = (phi - d P[c]) mod 24 lies in
+the order-N subgroup. The free coordinate d is integer-valued of degree at
+most 2 in each variable, so it is an integer combination of C(k, i) C(a, l),
+i, l <= 2, and C(n + 2m, 2) - C(n, 2) = m(2n + 2m - 1): mod m it repeats
+with period 2m in k and in a.
 
 These proofs are why the library divides with // and checks no remainder.
 """
@@ -182,3 +191,55 @@ def test_difference_sees_the_degree():
     under a stated degree of 2."""
     assert _difference([k**3 for k in range(4)]) == 6
     assert _difference([k**2 for k in range(4)]) == 0
+
+
+# (x, y, delta) of classes.generator_lift and P[c] = phi of the lift, by c = r mod 12
+LIFT_ROWS = {1: (1, 0, 0), 5: (1, 0, 0), 7: (1, 0, 0), 11: (1, 0, 0), 2: (0, 0, -1), 10: (0, 0, -1),
+             4: (0, -1, 0), 3: (0, 3, 0), 9: (0, 3, 0), 8: (1, 1, 0), 0: (3, 3, 0), 6: (3, 2, 1)}
+P = {0: 12, 1: 2, 2: 23, 3: 6, 4: 22, 5: 2, 6: 11, 7: 2, 8: 4, 9: 6, 10: 23, 11: 2}
+
+
+def _lift_terms(r: int, c: int, gamma) -> list:
+    """The terms (kind, a, coefficient) of x lambda + y lambda(1/r) +
+    delta mu + gamma kappa1(1/r), zero coefficients dropped."""
+    x, y, delta = LIFT_ROWS[c]
+    terms = [(cl.LAMBDA, r, x), (cl.LAMBDA, 1, y), (cl.MU_KIND, 0, delta), (cl.KAPPA1, 1, gamma)]
+    return [t for t in terms if t[2]]
+
+
+@pytest.mark.parametrize("c,eps", RESIDUES)
+def test_generator_lift(c, eps):
+    """gamma = (1 - x d(lambda) - y d(lambda(1/r)) - delta d(mu)) / u at
+    r = 12k + c is an integer; the lift with that gamma has d = 1 and
+    phi = P[c], and it is classes.generator_lift."""
+
+    def form(k):
+        r = 12 * k + c
+        return (1 - _oracle_free(r, _lift_terms(r, c, 0))) / bench_oracle.u_r(r)
+
+    def check(p, value):
+        r = 12 * p[0] + c
+        terms = _lift_terms(r, c, int(value))
+        assert bench_oracle.class_coords(r, terms) == (1, P[c]), r
+        lift = cl.generator_lift(cl.ModuliContext(r, cl.stable_genus(r), eps))
+        assert lift == cl.FormalClass.of((cl.ClassSymbol(kind, a), n) for kind, a, n in terms), r
+
+    _prove(form, (2,), (K0,), check)
+
+
+@pytest.mark.parametrize("c,eps", RESIDUES)
+def test_named_classes_split_by_the_lift(c, eps):
+    """phi = d P[c] mod 24/N for lambda(a/r), kappa1(a/r) and mu over a
+    full period of (k, a), so at every r = 12k + c and a. On the period,
+    canonical_coords gives tau = (phi - d P[c]) mod 24."""
+    m = 24 // bench_oracle.torsion_order(c + 12)
+    kinds = [cl.LAMBDA, cl.KAPPA1] + ([cl.MU_KIND] if eps is not None else [])
+    for k in range(K0, K0 + 2 * m):
+        r = 12 * k + c
+        ctx = cl.ModuliContext(r, cl.stable_genus(r), eps)
+        for kind in kinds:
+            for a in range(2 * m) if kind != cl.MU_KIND else (0,):
+                d, phi = bench_oracle.class_coords(r, [(kind, a, 1)])
+                assert (phi - d * P[c]) % m == 0, (r, kind, a)
+                x = cl.FormalClass.single(cl.MU if kind == cl.MU_KIND else cl.ClassSymbol(kind, a))
+                assert cl.canonical_coords(ctx, x).tau == (phi - d * P[c]) % 24, (r, kind, a)

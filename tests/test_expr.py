@@ -29,8 +29,8 @@ class TestParse:
         assert x == FormalClass.of([(MU, -1), (Lambda(1), 2), (Kappa1(4), -1)])
 
     def test_zero(self):
-        assert parse_class("0", 2).is_zero()
-        assert parse_class("lambda - lambda", 7).is_zero()
+        assert parse_class("0", 2) == FormalClass()
+        assert parse_class("lambda - lambda", 7) == FormalClass()
 
     def test_whitespace_insensitive(self):
         assert parse_class("  2 *  mu+lambda ", 2) == parse_class("2*mu + lambda", 2)

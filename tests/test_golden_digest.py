@@ -24,7 +24,7 @@ import sys
 from rspin import cli
 from rspin.classes import stable_genus
 
-DIGEST = "6844cdd9801f5741d21715b66b1324c81080745527b4c02646826ac81022574e"
+DIGEST = "9164facf6a317e2536791e9d465168a09e6d144ec6292fac6253666d1b2913be"
 
 
 def _argvs():

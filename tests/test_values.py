@@ -75,8 +75,8 @@ VALUES = {
     "CanonicalCoords": (
         ("d", "tau", "torsion_order"),
         lambda: canonical_coords(ModuliContext(3, 10), FormalClass.single(Lambda(1))),
-        lambda: CanonicalCoords(-1, 8, 3),
-        "CanonicalCoords(d=-1, tau=0, torsion_order=3)",
+        lambda: CanonicalCoords(-1, 16, 3),
+        "CanonicalCoords(d=-1, tau=8, torsion_order=3)",
     ),
     "Presentation": (
         ("generators", "relations"),
