@@ -113,6 +113,17 @@ class FormalClass(Value):
 # rendering (inverse of the expression parser in rspin.expr)
 
 
+def decimal_str(n: int) -> str:
+    """str(n), also when n has more digits than the interpreter's int/str
+    limit allows: Decimal converts an int exactly and is not held to it."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # only a number past the limit needs it
+
+        return str(Decimal(n))
+
+
 def render_symbol(sym: ClassSymbol, r: int) -> str:
     if sym.kind == MU_KIND:
         return "mu"
@@ -132,7 +143,7 @@ def _signed_sum(pairs) -> str:
     for c, name in pairs:
         if not c:
             continue
-        body = name if abs(c) == 1 else f"{abs(c)}*{name}"
+        body = name if abs(c) == 1 else f"{decimal_str(abs(c))}*{name}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -204,7 +215,7 @@ class ModuliContext(Value):
     def require_nonempty(self):
         if not self.nonempty:
             raise errors.EmptyModuliError(
-                f"no {self.r}-Spin structures in genus {self.g}: {self.r} does not divide {self.chi}"
+                f"no {self.r}-Spin structures in genus {self.g}: {self.r} does not divide {decimal_str(self.chi)}"
             )
 
     def require_mu(self):

@@ -14,7 +14,6 @@ A plain argv is read straight from the parser's own actions
 
 from __future__ import annotations
 
-import _thread
 import argparse
 import functools
 import os
@@ -23,15 +22,12 @@ import sys
 from . import classes as cl
 from . import errors, expr, topology, twists
 from .abelian import element_order
-from .classes import FormalClass, Kappa1, Lambda, MU, ModuliContext, render_class
+from .classes import FormalClass, Kappa1, Lambda, MU, ModuliContext, decimal_str, render_class
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RANGE = 3
 EXIT_INTERNAL = 4
-
-# held by main from saving the int/str digit limit to restoring it
-_MAIN_LOCK = _thread.allocate_lock()
 
 
 def _use_color() -> bool:
@@ -115,7 +111,7 @@ def _context_dict(ctx: ModuliContext) -> dict:
     d = {
         "r": str(ctx.r),
         "g": str(ctx.g),
-        "chi": str(ctx.chi),
+        "chi": decimal_str(ctx.chi),
         "nonempty": ctx.nonempty,
         "stable_h2_range": ctx.in_h2_range,
     }
@@ -131,7 +127,7 @@ def _presentation_dict(pres: cl.Presentation, r: int) -> dict:
     return {
         "generators": names,
         "relations": [
-            [str(c) for c in pres.relations.row(i)] for i in range(pres.relations.rows)
+            [decimal_str(c) for c in pres.relations.row(i)] for i in range(pres.relations.rows)
         ],
         "rendered": pres.render(r),
     }
@@ -145,7 +141,7 @@ def _make_ctx(args) -> ModuliContext:
     return ctx
 
 
-def cmd_report(args, max_digits) -> dict:
+def cmd_report(args) -> dict:
     ctx = _make_ctx(args)
     report = {"command": "report", "context": _context_dict(ctx)}
     report["u_r"] = str(ctx.u)
@@ -156,7 +152,7 @@ def cmd_report(args, max_digits) -> dict:
         symbols.append(MU)
     for sym in symbols:
         x = FormalClass.single(sym)
-        table[render_class(x, ctx.r)] = str(cl.free_coordinate(ctx, x))
+        table[render_class(x, ctx.r)] = decimal_str(cl.free_coordinate(ctx, x))
     report["divisibility"] = table
 
     if not ctx.nonempty:
@@ -183,19 +179,21 @@ def cmd_report(args, max_digits) -> dict:
     return report
 
 
-def cmd_eval(args, max_digits) -> dict:
+def cmd_eval(args) -> dict:
     ctx = _make_ctx(args)
-    x = expr.parse_class(args.expression, ctx.r, max_digits)
+    x = expr.parse_class(args.expression, ctx.r)
     coords = cl.canonical_coords(ctx, x)
     phi = cl.phi_value(ctx, x)
+    q = cl.rational_multiple_of_lambda(ctx, x)  # a Fraction, whose str is held to the digit limit
     report = {
         "command": "eval",
         "context": _context_dict(ctx),
         "expression": render_class(x, ctx.r),
-        "d": str(coords.d),
+        "d": decimal_str(coords.d),
         "tau": str(coords.tau),
         "phi": str(phi),
-        "rational_multiple_of_lambda": str(cl.rational_multiple_of_lambda(ctx, x)),
+        "rational_multiple_of_lambda": decimal_str(q.numerator)
+        + ("" if q.denominator == 1 else f"/{decimal_str(q.denominator)}"),
     }
     if coords.d == 0:
         order = element_order(24, coords.tau)
@@ -205,7 +203,7 @@ def cmd_eval(args, max_digits) -> dict:
     return report
 
 
-def cmd_theta(args, max_digits) -> dict:
+def cmd_theta(args) -> dict:
     ctx = _make_ctx(args)
     image = twists.tors_map_image(ctx)
     h1 = twists.h1_theta(ctx, image)
@@ -232,12 +230,12 @@ def cmd_theta(args, max_digits) -> dict:
     return report
 
 
-def cmd_twist(args, max_digits) -> dict:
+def cmd_twist(args) -> dict:
     ctx = _make_ctx(args)
     tw = twists.TwistInput(ctx, args.arf, args.beta)
-    x = expr.parse_class(args.expression, ctx.r, max_digits)
+    x = expr.parse_class(args.expression, ctx.r)
     per_term, total = twists.twist_class(tw, x)
-    report = {
+    return {
         "command": "twist",
         "context": _context_dict(ctx),
         "expression": render_class(x, ctx.r),
@@ -245,17 +243,16 @@ def cmd_twist(args, max_digits) -> dict:
         "terms": [
             {
                 "symbol": cl.render_symbol(sym, ctx.r),
-                "coefficient": str(c),
+                "coefficient": decimal_str(c),
                 "shift": str(s),
             }
             for sym, c, s in per_term
         ],
         "total_shift": f"{total} mod {ctx.r}",
     }
-    return report
 
 
-def cmd_table(args, max_digits) -> dict:
+def cmd_table(args) -> dict:
     if args.r_min > args.r_max:
         raise ValueError(f"empty range: --r-min {args.r_min} is greater than --r-max {args.r_max}")
     if args.r_min < 2:
@@ -269,9 +266,9 @@ def cmd_table(args, max_digits) -> dict:
                 "r": str(r),
                 "u_r": str(cl.u_r(r)),
                 "torsion": str(topology.pi1_mtspin(r)),
-                "pi2_multiplier": str(topology.pi2_multiplier(r)),
+                "pi2_multiplier": decimal_str(topology.pi2_multiplier(r)),
                 "pi0": str(pi0),
-                "euler_image_index": str(euler_index),
+                "euler_image_index": decimal_str(euler_index),
             }
         )
     return {"command": "table", "rows": rows}
@@ -393,40 +390,30 @@ def _read_plain(argv):
 
 
 def main(argv=None) -> int:
-    """Run one query. argv is parsed under the interpreter's int/str digit
-    limit, where it has one, which bounds the input; the subcommand gets
-    the limit too, and holds the integer literals of an expression to
-    it. The answer may have more digits (chi = 2 - 2g, r^2), so the
-    query and its output run without the limit, and it is restored
-    before main returns. The limit is process-wide: main calls run one
-    at a time, and while one runs the limit is lifted for every thread."""
-    with _MAIN_LOCK:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        if argv is None:
-            argv = sys.argv[1:]
-        try:
-            args = _read_plain(argv)
-            if args is None:
-                args = build_parser().parse_args(argv)
-            if limit is not None:
-                sys.set_int_max_str_digits(0)
-            _emit(args.func(args, limit), args)
-            return EXIT_OK
-        except errors.StableRangeError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_RANGE
-        except errors.InternalConsistencyError as e:
-            print(f"internal consistency error: {e}", file=sys.stderr)
-            return EXIT_INTERNAL
-        except (errors.RSpinError, ValueError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        except MemoryError:
-            print("error: out of memory", file=sys.stderr)
-            return EXIT_USAGE
-        finally:
-            if limit is not None:
-                sys.set_int_max_str_digits(limit)
+    """Run one query. Its input, argv and the integer literals of an
+    expression, is held to the interpreter's int/str digit limit, which
+    main never changes; an answer with more digits (chi = 2 - 2g, r^2)
+    is written by classes.decimal_str. Calls may overlap."""
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        args = _read_plain(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
+        _emit(args.func(args), args)
+        return EXIT_OK
+    except errors.StableRangeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_RANGE
+    except errors.InternalConsistencyError as e:
+        print(f"internal consistency error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (errors.RSpinError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -13,6 +13,7 @@ must equal the context's r. The only bare integer term allowed is 0.
 from __future__ import annotations
 
 import re
+import sys
 
 from . import errors
 from .classes import FormalClass, Kappa1, Lambda, MU
@@ -20,15 +21,16 @@ from .classes import FormalClass, Kappa1, Lambda, MU
 _TOKEN = re.compile(r"(\d+)|(lambda|kappa1|mu)|([()+\-*/])|(\S)")
 
 
-def _tokenize(text: str, max_digits=None):
+def _tokenize(text: str):
     tokens = []
     for m in _TOKEN.finditer(text):
         num, name, op, bad = m.groups()
         if bad:
             raise errors.ParseError(f"unexpected character {bad!r}", m.start())
         if num:
-            if max_digits and len(num) > max_digits:
-                message = f"integer literal has {len(num)} digits, over the limit of {max_digits}"
+            limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+            if limit and len(num) > limit:
+                message = f"integer literal has {len(num)} digits, over the limit of {limit}"
                 raise errors.ParseError(message, m.start())
             tokens.append(("int", int(num), m.start()))
         elif name:
@@ -40,8 +42,8 @@ def _tokenize(text: str, max_digits=None):
 
 
 class _Parser:
-    def __init__(self, text: str, r: int, max_digits=None):
-        self.tokens = _tokenize(text, max_digits)
+    def __init__(self, text: str, r: int):
+        self.tokens = _tokenize(text)
         self.i = 0
         self.r = r
 
@@ -123,8 +125,8 @@ class _Parser:
         return -num if neg else num
 
 
-def parse_class(text: str, r: int, max_digits=None) -> FormalClass:
-    """Parse an expression like "3*lambda(1/4) - mu" in a given r. With
-    max_digits (an int/str digit limit; 0 or None is none), an integer
-    literal of more digits is a ParseError, as int() would refuse it."""
-    return _Parser(text, r, max_digits).parse()
+def parse_class(text: str, r: int) -> FormalClass:
+    """Parse an expression like "3*lambda(1/4) - mu" in a given r. An
+    integer literal with more digits than the interpreter's int/str digit
+    limit allows is a ParseError."""
+    return _Parser(text, r).parse()

@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 from oracles import bench_oracle
 from rspin import classes as cl
 from rspin import cli, errors, expr, topology, twists
+from test_golden_digest import argvs_at
 
 
 @pytest.fixture(autouse=True)
@@ -542,8 +543,8 @@ class TestLongIntegers:
 
     @pytest.mark.parametrize("cmd", [["eval"], ["twist", "--beta", "1"]])
     def test_expression_literal_at_the_limit(self, capsys, cmd):
-        # the query runs without the limit, but an expression is input:
-        # its literals are held to the limit that argv was parsed under
+        # an expression is input: its literals are held to the limit, as
+        # the numbers in argv are
         limit = self._limit()
         if not limit:
             pytest.skip("this interpreter has no int/str digit limit")
@@ -557,8 +558,8 @@ class TestLongIntegers:
         assert self._limit() == limit
 
     def test_concurrent_call_parses_under_the_limit(self, capsys, monkeypatch):
-        # the limit is process-wide: while one main call runs its query
-        # with the limit lifted, another call must not parse argv unbounded
+        # while one main call is inside its query, another call runs to
+        # its end, and parses its argv under the limit
         limit = self._limit()
         if not limit:
             pytest.skip("this interpreter has no int/str digit limit")
@@ -589,7 +590,8 @@ class TestLongIntegers:
         try:
             assert entered.wait(timeout=60)
             b.start()
-            b.join(timeout=0.2)  # without the lock, b runs to its end here
+            b.join(timeout=60)
+            assert not b.is_alive()  # main takes no lock: b does not wait for a
         finally:
             release.set()
         a.join(timeout=60)
@@ -599,6 +601,103 @@ class TestLongIntegers:
         assert json.loads(out)["diagnosis"] == "infinite order"
         assert "invalid int value" in err
         assert self._limit() == limit
+
+    def test_main_leaves_the_limit_alone(self, capsys, monkeypatch):
+        # the limit is process-wide; inside a query it stays as it was, and
+        # another thread's conversions stay bounded
+        limit = self._limit()
+        if not limit:
+            pytest.skip("this interpreter has no int/str digit limit")
+        seen = []
+        canonical_coords = cl.canonical_coords
+
+        def convert_long():
+            try:
+                int("9" * (limit + 1))
+                seen.append("converted")
+            except ValueError:
+                seen.append("refused")
+
+        def watching(*args):
+            seen.append(self._limit())
+            other = threading.Thread(target=convert_long)
+            other.start()
+            other.join(timeout=60)
+            return canonical_coords(*args)
+
+        monkeypatch.setattr(cl, "canonical_coords", watching)
+        code, out, err = run(capsys, "eval", "--r", "3", "--g", "10", "lambda")
+        assert (code, err) == (0, "")
+        assert seen == [limit, "refused"]
+
+    def test_long_answers_as_with_the_limit_lifted(self):
+        # under the limit, str() or an f-string of a longer answer raises
+        # ValueError, which main would report as an input error (exit 2).
+        # The battery runs under the smallest limit the interpreter takes,
+        # so that its numbers are short and it runs in under a second.
+        if self._limit() is None:
+            pytest.skip("this interpreter has no int/str digit limit")
+        before, limit = self._limit(), sys.int_info.str_digits_check_threshold
+        longer = re.compile(rf"\d{{{limit + 1}}}")
+        try:
+            for variant, argvs in _long_answer_argvs(limit).items():
+                printed_long = False
+                for argv in argvs:
+                    sys.set_int_max_str_digits(limit)
+                    under = _main_result(argv)
+                    sys.set_int_max_str_digits(0)
+                    lifted = _main_result(argv)
+                    assert under == lifted, (variant, argv)
+                    printed_long = printed_long or (under[0] == 0 and bool(longer.search(under[1])))
+                assert printed_long, variant
+        finally:
+            sys.set_int_max_str_digits(before)
+
+
+_TERM = re.compile(r"(?:\d+\*)?\b(lambda|kappa1|mu)\b")
+
+
+def _long_coefficients(word, limit):
+    """An expression with every coefficient made limit digits long and
+    the whole written twice, so that each sum of coefficients passes the
+    limit; any other argv word as it is."""
+    if not _TERM.search(word):
+        return word
+    once = _TERM.sub(lambda m: f"{'9' * limit}*{m[1]}", word)
+    return f"{once} + {once}"
+
+
+def _long_answer_argvs(limit):
+    """Every argv shape of the golden list (test_golden_digest.argvs_at)
+    in three variants, each with its input within the limit and answers
+    past it, by variant name:
+    - r: at each residue mod 12, an r of the limit's length over half of
+      10^limit (so 2r is one digit longer) and below 10^limit - 11 (so
+      its stable genus, at most r + 1, fits the limit), at that genus;
+    - g: at r = 2..13, the largest nonempty g of the limit's length (so
+      2 - 2g is one digit longer) and the empty g just below it (none
+      at r = 2);
+    - coefficients: at r = 2..13, eval and twist with the expressions of
+      _long_coefficients;
+    plus a 2-row table at the largest r of the limit's length."""
+    top = 10**limit - 1
+    out = {"r": [], "g": [], "coefficients": []}
+    for c in range(12):
+        r = top - 11 - (top - 11 - c) % 12
+        out["r"] += argvs_at(r, [cl.stable_genus(r)])
+    for r in range(2, 14):
+        # g is nonempty exactly when g = 1 mod step
+        step = r if r % 2 else r // 2
+        g = top - (top - 1) % step
+        out["g"] += argvs_at(r, [g] + ([g - 1] if step > 1 else []))
+        out["coefficients"] += [
+            [_long_coefficients(word, limit) for word in argv]
+            for argv in argvs_at(r, [cl.stable_genus(r)])
+            if argv[0] in ("eval", "twist")
+        ]
+    table = ["table", "--r-min", str(top - 1), "--r-max", str(top)]
+    out["table"] = [table, table + ["--json"]]
+    return out
 
 
 class TestJson:
@@ -767,9 +866,9 @@ class TestSharedParser:
             gc.enable()
 
     # standard modules that no query needs at import: dataclasses (which
-    # loads inspect), typing, fractions (eval loads it), json (--json) and
-    # threading (main's lock comes from _thread)
-    UNNEEDED = ("dataclasses", "inspect", "typing", "fractions", "json", "threading")
+    # loads inspect), typing, fractions (eval loads it), json (--json),
+    # threading and decimal (only an answer past the digit limit)
+    UNNEEDED = ("dataclasses", "inspect", "typing", "fractions", "json", "threading", "decimal")
 
     def test_import_builds_no_parser(self):
         child = (

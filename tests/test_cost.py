@@ -11,7 +11,10 @@ loop capped below 12*10^6 fails the test. report and theta are not
 compared at r = 12 + c. Their subgroup_info runs abelian.ext_gcd on the
 free coordinates of the fixed pair, and at even c other than 4 its Euclid
 loop takes a number of steps that depends on k mod 4, for r = 12k + c,
-and at k <= 4 on k itself. Every k compared here is 0 mod 8.
+and at k <= 4 on k itself. So their count is also compared at
+k = 10^3 + j against k = 10^6 + j for j = 0..3, not only at k = 0 mod 8:
+a loop capped below 12*10^6 on a path taken only at some k mod 4 fails
+the test too.
 At r = 12*10^6 + c the count is also the same at the nonempty
 genera g0 + k*step for k = 0, 1, 10^6 and 10^300, where g0 is the
 stable genus and step is r for odd r and r/2 for even r, so no query
@@ -137,6 +140,14 @@ def test_count_independent_of_r(warm, kind):
     for c, eps in RESIDUES:
         rs = {scale: 12 * scale + c for scale in scales}
         assert_same_count(kind, c, {scale: _argv(kind, r, stable_genus(r), eps) for scale, r in rs.items()})
+
+
+@pytest.mark.parametrize("kind", ["report", "theta"])
+@pytest.mark.parametrize("j", range(4))
+def test_count_independent_of_r_at_each_k_mod_4(warm, kind, j):
+    for c, eps in RESIDUES:
+        rs = {k: 12 * k + c for k in (10**3 + j, 10**6 + j)}
+        assert_same_count(kind, c, {k: _argv(kind, r, stable_genus(r), eps) for k, r in rs.items()})
 
 
 @pytest.mark.parametrize("kind", ["report", "eval", "theta", "twist"])

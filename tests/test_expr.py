@@ -1,5 +1,7 @@
 """Surface syntax: parsing, errors with positions, and round-trips."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +64,18 @@ class TestParseErrors:
             parse_class("lambda + ", 2)
         assert exc.value.position == 9
         assert "position 9" in str(exc.value)
+
+    def test_literal_over_the_digit_limit(self):
+        # a library call is held to the interpreter's int/str digit limit,
+        # with a ParseError at the literal, not int()'s own ValueError
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int/str digit limit")
+        assert parse_class("1" * limit + "*lambda", 3) == FormalClass.single(Lambda(3), int("1" * limit))
+        with pytest.raises(errors.ParseError) as exc:
+            parse_class("lambda - " + "1" * (limit + 1) + "*lambda", 3)
+        assert exc.value.position == 9
+        assert str(exc.value) == f"integer literal has {limit + 1} digits, over the limit of {limit} (at position 9)"
 
 
 def _tokens_or_error(tokenize, text):

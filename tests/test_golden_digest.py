@@ -27,32 +27,39 @@ from rspin.classes import stable_genus
 DIGEST = "9164facf6a317e2536791e9d465168a09e6d144ec6292fac6253666d1b2913be"
 
 
-def _argvs():
+def argvs_at(r, genera):
+    """The argvs of the list at one r: report, theta, eval and twist, text
+    and --json, at each genus in order, with both eps for even r; at a
+    genus other than 7 also eval and twist of the every-power class."""
     out = []
-    for r in range(2, 41):
-        odd = r % 2
-        expression = f"3*lambda(1/{r}) - kappa1(1/{r}) + lambda" if odd else f"lambda(1/{r}) - 2*kappa1(1/{r}) + mu"
-        # powers -3, -1, 0, 2 and r + 1 of lambda and kappa1, plus mu for even r
-        every_power = (
-            f"lambda(-3/{r}) - 2*kappa1(-3/{r}) + 3*lambda(-1/{r}) + kappa1(-1/{r}) - 2*lambda(0/{r})"
-            f" + kappa1(0/{r}) - 4*lambda(2/{r}) + kappa1(2/{r}) + lambda({r + 1}/{r}) - 5*kappa1({r + 1}/{r})"
-        ) + ("" if odd else " - mu")
-        for g in (stable_genus(r), 7):
-            for eps in (None,) if odd else (0, 1):
-                base = ["--r", str(r), "--g", str(g)] + ([] if odd else ["--eps", str(eps)])
-                arf = [] if odd else ["--arf", str(eps)]
-                cmds = [
-                    ["report"] + base,
-                    ["theta"] + base,
-                    ["eval"] + base + [expression],
-                    ["twist"] + base + arf + ["--beta", "1", expression],
-                ]
-                if g != 7:
-                    cmds.append(["eval"] + base + [every_power])
-                    cmds += [["twist"] + base + arf + ["--beta", beta, every_power] for beta in ("1", "3")]
-                for cmd in cmds:
-                    out.append(cmd)
-                    out.append(cmd + ["--json"])
+    odd = r % 2
+    expression = f"3*lambda(1/{r}) - kappa1(1/{r}) + lambda" if odd else f"lambda(1/{r}) - 2*kappa1(1/{r}) + mu"
+    # powers -3, -1, 0, 2 and r + 1 of lambda and kappa1, plus mu for even r
+    every_power = (
+        f"lambda(-3/{r}) - 2*kappa1(-3/{r}) + 3*lambda(-1/{r}) + kappa1(-1/{r}) - 2*lambda(0/{r})"
+        f" + kappa1(0/{r}) - 4*lambda(2/{r}) + kappa1(2/{r}) + lambda({r + 1}/{r}) - 5*kappa1({r + 1}/{r})"
+    ) + ("" if odd else " - mu")
+    for g in genera:
+        for eps in (None,) if odd else (0, 1):
+            base = ["--r", str(r), "--g", str(g)] + ([] if odd else ["--eps", str(eps)])
+            arf = [] if odd else ["--arf", str(eps)]
+            cmds = [
+                ["report"] + base,
+                ["theta"] + base,
+                ["eval"] + base + [expression],
+                ["twist"] + base + arf + ["--beta", "1", expression],
+            ]
+            if g != 7:
+                cmds.append(["eval"] + base + [every_power])
+                cmds += [["twist"] + base + arf + ["--beta", beta, every_power] for beta in ("1", "3")]
+            for cmd in cmds:
+                out.append(cmd)
+                out.append(cmd + ["--json"])
+    return out
+
+
+def _argvs():
+    out = [argv for r in range(2, 41) for argv in argvs_at(r, (stable_genus(r), 7))]
     table = ["table", "--r-min", "2", "--r-max", "40"]
     out.append(table)
     out.append(table + ["--json"])
