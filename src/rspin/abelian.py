@@ -343,8 +343,8 @@ def group_from_presentation(n_generators: int, relations: IntMatrix) -> FgAbGrou
       much as on the whole.
     * At most one relation. A residual R of at most one row, on the k
       generators it still involves, has cokernel Z^(k-1) + Z/gcd(row),
-      or Z^k. Every residual the golden CLI queries leave is of this
-      shape.
+      or Z^k. A relation matrix of one row, every CLI query's, is read
+      this way at once, with no unit-pivot step before it.
     * Rank and modulus (_rank_and_minor). Any other residual takes the
       modular route, this step and the two below it. Fraction-free
       elimination gives the rank rho of R and d = |a nonzero rho x rho
@@ -387,7 +387,10 @@ def group_from_presentation(n_generators: int, relations: IntMatrix) -> FgAbGrou
     """
     if relations.cols != n_generators:
         raise ValueError("relation matrix must have one column per generator")
-    rows, eliminated = _unit_pivot_residual(relations)
+    if relations.rows == 1:
+        rows, eliminated = [pairs for pairs in relations.nonzero if pairs], 0
+    else:
+        rows, eliminated = _unit_pivot_residual(relations)
     free = n_generators - eliminated
     if len(rows) <= 1:
         orders = [gcd(*(x for _, x in pairs)) for pairs in rows]
@@ -567,8 +570,11 @@ def kernel_lattice(hom: HomZN) -> IntMatrix:
     basis (Cohen, A Course in Computational Algebraic Number Theory,
     2.4) for every input. The cost is O(k) steps in Z^2 plus the few
     nonzero entries per row, not the cubic cost of reducing k + 1 rows.
+    At most two columns, every query's, take _small_kernel's closed form.
     """
     images = hom.generator_images
+    if len(images) <= 2:
+        return _small_kernel(images, hom.ambient_torsion)
     basis = [(0, hom.ambient_torsion, {})]  # (free, torsion, coefficients)
     special = []  # the special columns beyond the current one, ascending
     reducers = []  # (column, pivot, rest of row) of those with d_j > 1, ascending
@@ -588,6 +594,30 @@ def kernel_lattice(hom: HomZN) -> IntMatrix:
         j = lo - 1
     rows = tuple(chain.from_iterable(reversed(runs)))
     return IntMatrix(len(rows), len(images), rows)
+
+
+def _small_kernel(images, n: int) -> IntMatrix:
+    """kernel_lattice of k <= 2 images (f_i, t_i) mod n in closed form. If
+    some f_i != 0, K = Z m v (0 at k = 1) for v = (f_2, -f_1)/gcd(f_1, f_2),
+    first nonzero entry positive, and m the order of v_1 t_1 + v_2 t_2. Else
+    its rows are (a, b), (0, c): c = n/h is the order of t_2, h = gcd(t_2, n),
+    a = h/gcd(t_1, h) is the least a > 0 with a t_1 in <t_2>, and
+    b = -(a t_1/h)(t_2/h)^-1 mod c in [0, c), so 0 and no entry at c = 1."""
+    if not images:
+        return IntMatrix(0, 0, ())
+    f1, t1 = images[0]
+    if len(images) == 1:
+        return IntMatrix(0, 1, ()) if f1 else IntMatrix(1, 1, (((0, n // gcd(t1, n)),),))
+    f2, t2 = images[1]
+    if f1 or f2:
+        g = gcd(f1, f2) if f2 > 0 or not f2 and f1 < 0 else -gcd(f1, f2)
+        v1, v2 = f2 // g, -f1 // g
+        m = n // gcd(n, v1 * t1 + v2 * t2)
+        return IntMatrix(1, 2, (tuple(compress(((0, m * v1), (1, m * v2)), (v1, v2))),))
+    h = gcd(t2, n)
+    c, a = n // h, h // gcd(t1, h)
+    b = -(a * t1 // h) * pow(t2 // h, -1, c) % c
+    return IntMatrix(2, 2, (((0, a), (1, b)) if b else ((0, a),), ((1, c),)))
 
 
 def _member_run(images, j: int, basis: list) -> tuple:

@@ -347,11 +347,14 @@ def generator_lift(ctx: ModuliContext) -> FormalClass:
     """
     ctx.require_h2_range()
     x, y, delta = _LIFT_ROWS[ctx.r % 12]
-    terms = [(Lambda(ctx.r), x), (Lambda(1), y), (MU, delta)]
-    gamma, rem = divmod(1 - _free_and_phi(ctx, FormalClass.of(terms))[0], ctx.u)
+    # in sort_key order, kappa1(1/r) to go before mu; mu only at even r
+    terms = [(s, c) for s, c in ((Lambda(1), y), (Lambda(ctx.r), x), (MU, delta)) if c]
+    gamma, rem = divmod(1 - sum(c * symbol_record(ctx, s)[0] for s, c in terms), ctx.u)
     if rem:
         raise errors.InternalConsistencyError(f"the generator lift at r = {ctx.r} is not integral")
-    return FormalClass.of(terms + [(Kappa1(1), gamma)])
+    if gamma:
+        terms.insert(len(terms) - bool(delta), (Kappa1(1), gamma))
+    return FormalClass(tuple(terms))
 
 
 class CanonicalCoords(Value):
@@ -409,7 +412,10 @@ def _torsion_pair(ctx: ModuliContext, s: ClassSymbol, t: ClassSymbol) -> FormalC
     # after the records, so mu at odd r still raises MuUndefinedError first
     ctx.require_h2_range()
     g = gcd(v, w)
-    return FormalClass.of([(s, w // g), (t, -(v // g))])
+    pair = ((s, w // g), (t, -(v // g)))
+    if s == t:  # the terms cancel, and FormalClass.of gives the zero class
+        return FormalClass.of(pair)
+    return FormalClass(pair if s.sort_key() < t.sort_key() else pair[::-1])
 
 
 def lambda_difference_torsion(ctx: ModuliContext, a: int, b: int) -> FormalClass:
@@ -461,9 +467,12 @@ class Presentation(Value):
         return group_from_presentation(len(self.generators), self.relations)
 
     def render(self, r: int) -> str:
-        names = [render_class(g, r) for g in self.generators]
-        rels = [render_relation(self.relations.row(i), names) for i in range(self.relations.rows)]
-        return f"<{', '.join(names)} | {'; '.join(rels)}>"
+        return render_presentation([render_class(g, r) for g in self.generators], self.relations.to_rows())
+
+
+def render_presentation(names: Sequence[str], rows: Sequence[Sequence[int]]) -> str:
+    """'<generators | relations>' from rendered generator names and relation rows."""
+    return f"<{', '.join(names)} | {'; '.join(render_relation(row, names) for row in rows)}>"
 
 
 def render_relation(row: Sequence[int], names: Sequence[str]) -> str:

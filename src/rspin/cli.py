@@ -22,7 +22,7 @@ import sys
 from . import classes as cl
 from . import errors, expr, topology, twists
 from .abelian import element_order
-from .classes import FormalClass, Kappa1, Lambda, MU, ModuliContext, decimal_str, render_class
+from .classes import Kappa1, Lambda, MU, ModuliContext, decimal_str, render_class
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,9 +75,9 @@ def _scalar(v) -> str:
 def _json(node, encode, pad: str = "") -> str:
     """`json.dumps(node, ensure_ascii=False, indent=2)` for a report tree
     of dicts with string keys, lists, strings and booleans, built by
-    joins. Keys and strings go through encode, which is
-    `json.encoder.encode_basestring`, the C function dumps calls for
-    them; any other leaf raises TypeError."""
+    joins. Keys and strings, a string leaf within its container's
+    comprehension, go through encode: `json.encoder.encode_basestring`,
+    the C function dumps calls for them. Any other leaf raises TypeError."""
     if isinstance(node, str):
         return encode(node)
     if node is True:
@@ -88,12 +88,13 @@ def _json(node, encode, pad: str = "") -> str:
     if isinstance(node, dict):
         if not node:
             return "{}"
-        items = [f"{encode(key)}: {_json(value, encode, inner)}" for key, value in node.items()]
+        items = [f"{encode(k)}: {encode(v) if isinstance(v, str) else _json(v, encode, inner)}"
+                 for k, v in node.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(node, list):
         if not node:
             return "[]"
-        items = [_json(item, encode, inner) for item in node]
+        items = [encode(v) if isinstance(v, str) else _json(v, encode, inner) for v in node]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
@@ -124,12 +125,11 @@ def _context_dict(ctx: ModuliContext) -> dict:
 
 def _presentation_dict(pres: cl.Presentation, r: int) -> dict:
     names = [render_class(g, r) for g in pres.generators]
+    rows = pres.relations.to_rows()
     return {
         "generators": names,
-        "relations": [
-            [decimal_str(c) for c in pres.relations.row(i)] for i in range(pres.relations.rows)
-        ],
-        "rendered": pres.render(r),
+        "relations": [[decimal_str(c) for c in row] for row in rows],
+        "rendered": cl.render_presentation(names, rows),
     }
 
 
@@ -143,34 +143,25 @@ def _make_ctx(args) -> ModuliContext:
 
 def cmd_report(args) -> dict:
     ctx = _make_ctx(args)
-    report = {"command": "report", "context": _context_dict(ctx)}
-    report["u_r"] = str(ctx.u)
+    report = {"command": "report", "context": _context_dict(ctx), "u_r": str(ctx.u)}
 
-    table = {}
-    symbols = [Lambda(ctx.r), Lambda(1), Kappa1(ctx.r), Kappa1(1)]
-    if ctx.r % 2 == 0:
-        symbols.append(MU)
-    for sym in symbols:
-        x = FormalClass.single(sym)
-        table[render_class(x, ctx.r)] = decimal_str(cl.free_coordinate(ctx, x))
-    report["divisibility"] = table
+    symbols = [Lambda(ctx.r), Lambda(1), Kappa1(ctx.r), Kappa1(1)] + ([] if ctx.r % 2 else [MU])
+    report["divisibility"] = {
+        cl.render_symbol(s, ctx.r): decimal_str(cl.symbol_record(ctx, s)[0]) for s in symbols
+    }
 
     if not ctx.nonempty:
         report["note"] = "moduli space is empty: groups omitted"
         return report
 
     pic = topology.picard_report(ctx)
-    report["groups"] = {
-        "h1": str(topology.h1_moduli(ctx)),
-        "h2": str(pic["group"]),
-    }
+    report["groups"] = {"h1": str(topology.h1_moduli(ctx)), "h2": str(pic["group"])}
     if ctx.torsion_order > 1:
-        t = cl.torsion_generator(ctx)
-        phi = cl.phi_value(ctx, t)
+        t = cl.torsion_generator(ctx)  # checks that N is its phi-order
         report["torsion"] = {
             "generator": render_class(t, ctx.r),
-            "phi": str(phi),
-            "order": str(element_order(24, phi)),
+            "phi": str(cl.phi_value(ctx, t)),
+            "order": str(ctx.torsion_order),
         }
     else:
         report["torsion"] = "trivial"

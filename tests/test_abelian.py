@@ -657,6 +657,22 @@ def kernel_runs(draw, max_k=400):
     return HomZN(n, tuple(images[:max_k]))
 
 
+@st.composite
+def small_kernel_maps(draw):
+    """Maps Z^k -> Z + Z/N on k <= 2 columns, where kernel_lattice takes
+    its closed form, drawn to reach each of its cases: free parts both 0,
+    one 0, equal, opposite or any; N | 24 or up to 10^12; torsion parts 0
+    or any (a zero t_2 with zero free parts is the case c = 1, whose row
+    (0, 1) stays)."""
+    k = draw(st.integers(min_value=0, max_value=2))
+    n = draw(st.one_of(divisors_of_24, st.integers(min_value=1, max_value=10**12)))
+    free = st.one_of(st.integers(min_value=-6, max_value=6), st.integers(min_value=-(10**9), max_value=10**9))
+    f1, f2 = draw(free), draw(free)
+    shape = draw(st.sampled_from([(0, 0), (0, f1), (f1, 0), (f1, f1), (f1, -f1), (f1, f2)]))
+    t = st.one_of(st.just(0), st.integers(min_value=0, max_value=n - 1), st.integers(min_value=0, max_value=10**13))
+    return HomZN(n, tuple((f, draw(t)) for f in shape[:k]))
+
+
 class TestUnitPivotResidual:
     @given(kernel_maps())
     @example(HomZN(2, ((1, 1), (2, 0))))  # kernel row (2, -1): no pivot in column 1
@@ -754,6 +770,20 @@ class TestKernelLattice:
     @given(kernel_maps())
     @settings(max_examples=150, deadline=None)
     def test_vs_hermite_oracle(self, hom):
+        assert kernel_lattice(hom) == _hermite_kernel(hom) == kernel_lattice_by_rows(hom)
+
+    @given(small_kernel_maps())
+    @settings(max_examples=300, deadline=None)
+    @example(HomZN(6, ((0, 4), (0, 0))))
+    @example(HomZN(24, ((0, 9), (0, 24))))
+    @example(HomZN(1, ((0, 0), (0, 0))))
+    @example(HomZN(10**12, ((0, 3), (0, 2 * 10**6))))
+    @example(HomZN(4, ((4, 1), (-1, 0))))
+    @example(HomZN(24, ((5, 7), (-5, 3))))
+    @example(HomZN(8, ((0, 3), (2, 5))))
+    def test_closed_form_vs_references(self, hom):
+        # k <= 2 is the closed form; the references run the general sweep
+        # and the general Hermite reduction
         assert kernel_lattice(hom) == _hermite_kernel(hom) == kernel_lattice_by_rows(hom)
 
     @given(kernel_runs())

@@ -20,8 +20,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import bench_oracle
 from rspin import classes as cl
-from rspin import cli, errors, expr, topology, twists
-from test_golden_digest import argvs_at
+from rspin import abelian, cli, errors, expr, topology, twists
+from test_golden_digest import _argvs as golden_argvs, argvs_at
 
 
 @pytest.fixture(autouse=True)
@@ -355,6 +355,29 @@ class TestOnePresentationPerQuery:
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert len(calls) == 1
+
+
+class TestNoKernelSweepPerQuery:
+    def test_golden_argvs_take_the_closed_form(self, monkeypatch):
+        # every query's kernels have at most two columns: none reaches
+        # kernel_lattice's sweep, whose steps are counted here, and
+        # kernel_lattice's closed form runs instead
+        calls = {}
+
+        def counting(name):
+            real = getattr(abelian, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+
+            return wrapper
+
+        for name in ("_member_run", "_run_rows", "_hermite2", "_small_kernel"):
+            monkeypatch.setattr(abelian, name, counting(name))
+        for argv in golden_argvs():
+            _main_result(argv)
+        assert calls.keys() == {"_small_kernel"}
 
 
 class TestOneContextPerQuery:

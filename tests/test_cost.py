@@ -25,9 +25,14 @@ Big-integer arithmetic inside one instruction is not counted.
 kernel_lattice builds the rows of each run of member columns together;
 at k = 1000 and 2000 columns it executes at most half the instructions
 of the row-at-a-time reference in tests/oracles.py on the same input.
+On the two columns of every query it takes a closed form, and there too
+it executes at most half the reference's instructions: on the r = 2
+fixed pair's map ((4, 1), (-1, 0)) mod 4, and on the fiber maps mod r of
+theta at r = 4, eps = 1 and r = 10, eps = 1, whose free parts are 0.
 
 Running this file as a script prints the warm counts of the README's
-example commands with --json, the instructions per column of
+example commands with --json, those of kernel_lattice and of the
+reference on the r = 2 pair's map, the instructions per column of
 kernel_lattice (k = 1000 -> 2000) and per named class of presentation
 (r = 1000 -> 2000).
 """
@@ -177,6 +182,24 @@ def test_kernel_at_most_half_the_row_reference(warm_kernels, k, modulus, free):
     assert 2 * executed <= by_rows, (executed / k, by_rows / k)
 
 
+# the r = 2 fixed pair's coordinate map, then theta's fiber maps at
+# (r, eps) = (4, 1) and (10, 1): a unit row (0, 1) stays at c = 1
+TWO_COLUMN_MAPS = [
+    HomZN(4, ((4, 1), (-1, 0))),
+    HomZN(4, ((0, 2), (0, 0))),
+    HomZN(10, ((0, 0), (0, 5))),
+]
+
+
+@pytest.mark.parametrize("hom", TWO_COLUMN_MAPS)
+def test_two_column_kernel_at_most_half_the_row_reference(warm_kernels, hom):
+    instructions(kernel_lattice, hom)
+    ker, executed = instructions(kernel_lattice, hom)
+    reference, by_rows = instructions(kernel_lattice_by_rows, hom)
+    assert ker == reference
+    assert 2 * executed <= by_rows, (executed, by_rows)
+
+
 def per_unit(fn, small, large):
     """Warm instructions per unit of size of fn between two argument
     tuples, each with its size first."""
@@ -190,6 +213,10 @@ if __name__ == "__main__":
         count_instructions(argv + ["--json"])
     for argv in README_EXAMPLES:
         print(argv[0], count_instructions(argv + ["--json"])[1])
+    pair = TWO_COLUMN_MAPS[0]
+    for fn in (kernel_lattice, kernel_lattice_by_rows):
+        instructions(fn, pair)
+        print(f"{fn.__name__} on {pair.generator_images}", instructions(fn, pair)[1])
     sizes = (1000, kernel_map(1000)), (2000, kernel_map(2000))
     print("kernel_lattice per column", per_unit(kernel_lattice, *sizes))
     print("row reference per column", per_unit(kernel_lattice_by_rows, *sizes))
